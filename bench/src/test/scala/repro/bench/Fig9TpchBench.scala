@@ -4,7 +4,7 @@ import repro.SparkSpec
 import BenchUtil._
 
 /** Fig 9: TPC-H Q4/Q12/Q14/Q19 — Modularis vs a compiled in-memory SQL
-  * engine ("MemSQL" = Spark SQL over cached tables) and a generic
+  * engine ("MemSQL" = DuckDB over in-memory tables) and a generic
   * interpreted warehouse ("Presto" = the Volcano/CSV engine).
   * Paper shape: Modularis on par with (≤33 % slower than) MemSQL and
   * ~6–9× faster than Presto.

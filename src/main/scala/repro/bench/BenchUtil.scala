@@ -29,16 +29,6 @@ object BenchUtil {
     (r, (System.nanoTime() - t0) / 1e6)
   }
 
-  /** Mean of `n` timed runs (after `warmup` discarded runs). */
-  def avgMs(n: Int, warmup: Int = 1)(f: => Unit): Double = {
-    var i = 0
-    while (i < warmup) { f; i += 1 }
-    var total = 0.0
-    i = 0
-    while (i < n) { total += timeMs(f)._2; i += 1 }
-    total / n
-  }
-
   /** Minimum of `n` timed runs (after `warmup` discarded runs) — the robust
     * estimator on a shared JVM where major GCs land on random runs.
     */

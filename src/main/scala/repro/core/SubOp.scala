@@ -81,15 +81,6 @@ final class VectorSource(rows: RowVec, override val outType: TupleType)
   override def close(): Unit = ()
 }
 
-/** Single-constant-tuple source (used to bootstrap driver-level plans). */
-final class ConstSource(tuple: Array[Any], override val outType: TupleType) extends SubOp {
-  private var done = false
-  override def open(): Unit = done = false
-  override def next(): Array[Any] =
-    if (done) null else { done = true; tuple }
-  override def close(): Unit = ()
-}
-
 /** Source over a re-creatable iterator (the Spark port feeds partition
   * iterators through this).
   */

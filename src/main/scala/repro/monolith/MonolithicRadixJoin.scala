@@ -38,14 +38,11 @@ object MonolithicRadixJoin {
       net: NetConfig,
       netBits: Int,
       localBits: Int,
-      pBits: Int = 32,
-      batchRows: Int = 1024,
   ): Vector[Result] = {
     require(rParts.size == nRanks && sParts.size == nRanks)
     val runtime = new MpiRuntime(nRanks, net)
     runtime.run { ctx =>
-      val rows = joinOnRank(ctx, rParts(ctx.rank), sParts(ctx.rank),
-        netBits, localBits, pBits, batchRows)
+      val rows = joinOnRank(ctx, rParts(ctx.rank), sParts(ctx.rank), netBits, localBits)
       Result(rows, ctx.timer, ctx.stats)
     }
   }
@@ -56,9 +53,9 @@ object MonolithicRadixJoin {
       s: RowVec,
       netBits: Int,
       localBits: Int,
-      pBits: Int,
-      batchRows: Int,
   ): ArrayBuffer[Array[Any]] = {
+    val pBits = Compression.PBits
+    val batchRows = MpiExchange.BatchRows
     val netFan  = 1 << netBits
     val netMask = netFan - 1
     val localFan  = 1 << localBits

@@ -25,10 +25,10 @@ final class MpiExchange(
     partOf: Array[Any] => Int,
     ctx: MpiContext,
     compress: Compression = Compression.none,
-    batchRows: Int = 1024,
-    phase: String = "networkPartition",
     ownerShift: Int = 0,
 ) extends SubOp {
+  import MpiExchange.BatchRows
+
   private val elemT: TupleType =
     if (compress.enabled) compress.outType else data.outType
   private val bytesPerTuple: Int = Bytes.perTuple(elemT)
@@ -48,7 +48,7 @@ final class MpiExchange(
   override def open(): Unit = {
     val lh = Histograms.toArray(localHist, nPart)
     val gh = Histograms.toArray(globalHist, nPart)
-    owned = ctx.timer.time(phase) { exchange(lh, gh) }
+    owned = ctx.timer.time("networkPartition") { exchange(lh, gh) }
     i = 0
   }
 
@@ -82,7 +82,7 @@ final class MpiExchange(
     }
 
     // Write-combining batches, flushed by one-sided puts (paper §4.1.1).
-    val batches = Array.fill(nPart)(new Array[Array[Any]](batchRows))
+    val batches = Array.fill(nPart)(new Array[Array[Any]](BatchRows))
     val fill    = new Array[Int](nPart)
 
     def flush(p: Int): Unit = {
@@ -91,7 +91,7 @@ final class MpiExchange(
         ctx.put(win, ownerOf(p), cursor(p), batches(p), len, len.toLong * bytesPerTuple)
         cursor(p) += len
         fill(p) = 0
-        batches(p) = new Array[Array[Any]](batchRows)
+        batches(p) = new Array[Array[Any]](BatchRows)
       }
     }
 
@@ -102,7 +102,7 @@ final class MpiExchange(
       val out = if (compress.enabled) compress.pack(t, pid) else t
       batches(pid)(fill(pid)) = out
       fill(pid) += 1
-      if (fill(pid) == batchRows) flush(pid)
+      if (fill(pid) == BatchRows) flush(pid)
       t = data.next()
     }
     data.close()
@@ -127,6 +127,11 @@ final class MpiExchange(
   override def close(): Unit = owned = null
 }
 
+object MpiExchange {
+  /** Rows per write-combining batch, i.e. per one-sided put. */
+  final val BatchRows = 1024
+}
+
 /** Radix compression for the network phase (paper §4.1.1): with identity-hash
   * radix partitioning over dense long domains, the low F partition bits of
   * the key are constant within a partition and can be dropped; key-high-bits
@@ -143,10 +148,13 @@ final class Compression private (
 object Compression {
   val none: Compression = new Compression(false, null, null)
 
+  /** Payload bits of a packed word: the payload occupies the low 32 bits. */
+  final val PBits = 32
+
   /** Pack ⟨k: long, v: long⟩ into ⟨c: long⟩ with `c = ((k >>> fBits) << pBits) | v`;
     * requires `v < 2^pBits` and `k < 2^(64 - pBits + fBits)`.
     */
-  def radixLongPair(fBits: Int, pBits: Int = 32): Compression =
+  def radixLongPair(fBits: Int, pBits: Int = PBits): Compression =
     new Compression(
       enabled = true,
       outType = TupleType.of("c" -> Atom.LongA),

@@ -11,7 +11,8 @@ import repro.core._
   *
   * The nested-plan builder receives the rank's [[ParamSlot]] and
   * [[MpiContext]]; because the output type must be known at plan
-  * construction, the builder is probed once with a dummy 1-rank context.
+  * construction, the builder is probed once with the context of rank 0 of
+  * a 1-rank runtime that is never run (so no rank thread starts).
   */
 final class MpiExecutor(
     up: SubOp,
@@ -21,8 +22,7 @@ final class MpiExecutor(
 
   override val outType: TupleType = {
     val probeSlot = new ParamSlot(up.outType)
-    val probeCtx  = new MpiRuntime(1, cfg).run(ctx => ctx).head // unused ctx won't be driven
-    buildInner(probeSlot, probeCtx).outType
+    buildInner(probeSlot, new MpiContext(0, new MpiRuntime(1, cfg))).outType
   }
 
   /** The runtime of the most recent open() — benches read per-rank timers

@@ -13,7 +13,6 @@ final class MpiHistogram(
     up: SubOp,
     n: Int,
     ctx: MpiContext,
-    phase: String = "globalHistogram",
 ) extends SubOp {
   override val outType: TupleType =
     TupleType.of("bucket" -> Atom.IntA, "count" -> Atom.LongA)
@@ -23,7 +22,7 @@ final class MpiHistogram(
 
   override def open(): Unit = {
     val local = Histograms.toArray(up, n)
-    global = ctx.timer.time(phase) { ctx.allReduceSum(local) }
+    global = ctx.timer.time("globalHistogram") { ctx.allReduceSum(local) }
     i = 0
   }
 

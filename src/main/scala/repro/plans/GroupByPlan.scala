@@ -13,30 +13,17 @@ import PlanPieces._
   */
 object GroupByPlan {
 
+  /** The flattened per-rank stream of ⟨k, v⟩ groups. */
   def rankPlan(slot: ParamSlot, ctx: MpiContext, cfg: DistConfig): SubOp = {
-    val keyed = scanField(slot, "data") // ⟨k, v⟩
-    val ex    = exchangePipeline(keyed, ctx, cfg, cfg.compression)
-    val exR   = new Rename(ex, Seq("npid", "pdata"))
-
-    val nm1 = new NestedMap(exR, slot1 => {
-      val side = localPartitionSide(slot1, ctx, cfg, "npid", "pdata", "lpid", "ldata", cfg.compress)
-      val nm2 = new NestedMap(side, slot2 => {
-        val scan  = scanField(slot2, "ldata")
-        val split = if (cfg.compress) splitCompressed(scan, "v", cfg) else scan
-        val keyF  = if (cfg.compress) "khi" else "k"
-        val rbk = new Timed(
-          new ReduceByKey(split, keyF, sumLongValue), ctx.timer, "aggregate")
-        val restored = if (cfg.compress) restoreKeys(rbk, slot2, "npid", cfg) else rbk
-        new MaterializeRowVector(restored, "data")
-      })
-      // Post-aggregation at this unnesting level (paper §4.3) — with radix
-      // partitioning the groups are disjoint across partitions, so this is
-      // a cheap pass-through, but the plan keeps the operator as described.
-      val level = new ReduceByKey(new RowScan(nm2, "data"), "k", sumLongValue)
-      new MaterializeRowVector(level, "data")
-    })
-    val rankLevel = new ReduceByKey(new RowScan(nm1, "data"), "k", sumLongValue)
-    new MaterializeRowVector(rankLevel, "data")
+    // Post-aggregation at each unnesting level (paper §4.3) — with radix
+    // partitioning the groups are disjoint across partitions, so this is
+    // a cheap pass-through, but the plan keeps the operator as described.
+    val level: SubOp => SubOp = new ReduceByKey(_, "k", sumLongValue)
+    partitioned(Seq(scanField(slot, "data") -> cfg.compress), ctx, cfg, levelAgg = level) {
+      (s, restore) =>
+        val rbk = new ReduceByKey(s(0), s(0).outType.fieldNames.head, sumLongValue)
+        restore(new Timed(rbk, ctx.timer, "aggregate"))
+    }
   }
 
   /** Driver plan: per-rank nested plans plus the final driver-side
@@ -54,13 +41,7 @@ object GroupByPlan {
       cfg: DistConfig,
       mergeAtDriver: Boolean = true,
   ): (SubOp, MpiExecutor) = {
-    require(parts.size == cfg.nRanks)
-    val inType = TupleType.of("data" -> CollectionType(elemType))
-    val rows   = parts.map(p => Array[Any](p)).toIndexedSeq
-    val src    = new VectorSource(rows, inType)
-    val exec   = new MpiExecutor(src, cfg.net, (slot, ctx) => rankPlan(slot, ctx, cfg))
-    val flat   = new RowScan(exec, "data")
-    val out    = if (mergeAtDriver) new ReduceByKey(flat, "k", sumLongValue) else flat
-    (out, exec)
+    val (flat, exec) = onCluster(cfg, Seq(("data", elemType, parts)))(rankPlan(_, _, cfg))
+    (if (mergeAtDriver) new ReduceByKey(flat, "k", sumLongValue) else flat, exec)
   }
 }

@@ -13,9 +13,9 @@ import RadixJoinPlan.JoinSpec
   * fresh exchange epoch, so its partition→rank placement is rotated
   * (`ownerShift`): an unoptimized plan has no co-partitioning knowledge.
   *
-  * Optimized: all N+1 relations are exchanged up-front (compressed) with a
-  * single placement, then local partitioning runs once per relation and the
-  * second NestedMap chains BuildProbe operators — N+1 exchanges, one
+  * Optimized: all N+1 relations are exchanged up-front with a single
+  * placement, then local partitioning runs once per relation and the second
+  * NestedMap chains BuildProbe operators — N+1 exchanges, one
   * materialization.
   */
 object JoinSequencePlan {
@@ -27,88 +27,32 @@ object JoinSequencePlan {
   def relType(i: Int): TupleType =
     TupleType.of("k" -> Atom.LongA, valName(i) -> Atom.LongA)
 
-  // ---------------------------------------------------------------- optimized
-
   def optimizedRankPlan(slot: ParamSlot, ctx: MpiContext, cfg: DistConfig, nRel: Int): SubOp = {
     require(nRel >= 2)
-    val exs = (0 until nRel).map { i =>
-      new Rename(
-        exchangePipeline(scanField(slot, relField(i)), ctx, cfg, cfg.compression),
-        Seq(s"npid$i", s"data$i"))
-    }
-    val zip = new Zip(exs)
-    val nm1 = new NestedMap(zip, slot1 => {
-      val sides = (0 until nRel).map { i =>
-        localPartitionSide(slot1, ctx, cfg, s"npid$i", s"data$i", s"lpid$i", s"ldata$i", cfg.compress)
-      }
-      val zip2 = new Zip(sides)
-      val nm2 = new NestedMap(zip2, slot2 => {
-        val splits = (0 until nRel).map { i =>
-          splitCompressed(scanField(slot2, s"ldata$i"), valName(i), cfg)
-        }
-        // Chain: output of the (i-1)-th BuildProbe probes the i-th (§4.2).
-        var chain: SubOp = splits(0)
-        var i = 1
-        while (i < nRel) {
-          chain = new Timed(
-            new BuildProbe(splits(i), chain, Seq("khi"), JoinKind.Inner),
-            ctx.timer, "buildProbe")
-          i += 1
-        }
-        val restored = restoreKeys(chain, slot2, "npid0", cfg)
-        new MaterializeRowVector(restored, "data")
+    val sides = (0 until nRel).map(i => scanField(slot, relField(i)) -> cfg.compress)
+    partitioned(sides, ctx, cfg) { (s, restore) =>
+      // Chain: output of the (i-1)-th BuildProbe probes the i-th (§4.2).
+      val key = Seq(s(0).outType.fieldNames.head)
+      restore(s.tail.foldLeft(s(0)) { (chain, rel) =>
+        new Timed(new BuildProbe(rel, chain, key, JoinKind.Inner), ctx.timer, "buildProbe")
       })
-      new MaterializeRowVector(new RowScan(nm2, "data"), "data")
-    })
-    new MaterializeRowVector(new RowScan(nm1, "data"), "data")
+    }
   }
-
-  // -------------------------------------------------------------------- naive
 
   def naiveRankPlan(slot: ParamSlot, ctx: MpiContext, cfg: DistConfig, nRel: Int): SubOp = {
     require(nRel >= 2)
     // Stage 1: the plain pair join of rel0 ⋈ rel1 (Fig 3), as a flat stream.
-    val spec = JoinSpec(cfg)
-    var cur: SubOp =
-      RadixJoinPlan.rankJoinStream(slot, ctx, spec, relField(0), relField(1), ownerShift = 0)
-
-    var j = 2
-    while (j < nRel) {
-      // Stage j: re-shuffle the (uncompressed, multi-payload) intermediate
-      // and the next base relation under a fresh epoch placement, then join.
-      val shift = j - 1
-      val exJ = new Rename(
-        exchangePipeline(cur, ctx, cfg, Compression.none, ownerShift = shift),
-        Seq("jnpid", "jdata"))
-      val exT = new Rename(
-        exchangePipeline(scanField(slot, relField(j)), ctx, cfg, cfg.compression, ownerShift = shift),
-        Seq("tnpid", "tdata"))
-      val zip = new Zip(Seq(exJ, exT))
-      val relIdx = j
-      val nm1 = new NestedMap(zip, slot1 => {
-        val jSide = localPartitionSide(slot1, ctx, cfg, "jnpid", "jdata", "jlpid", "jldata", compressed = false)
-        val tSide = localPartitionSide(slot1, ctx, cfg, "tnpid", "tdata", "tlpid", "tldata", cfg.compress)
-        val zip2 = new Zip(Seq(jSide, tSide))
-        val nm2 = new NestedMap(zip2, slot2 => {
-          val probe = scanField(slot2, "jldata") // ⟨k, v0, ..⟩ intermediate
-          val tScan = scanField(slot2, "tldata")
-          val build =
-            if (cfg.compress)
-              restoreKeys(splitCompressed(tScan, valName(relIdx), cfg), slot2, "tnpid", cfg)
-            else tScan
-          val bp = new Timed(
-            new BuildProbe(build, probe, Seq("k"), JoinKind.Inner), ctx.timer, "buildProbe")
-          new MaterializeRowVector(bp, "data")
-        })
-        new MaterializeRowVector(new RowScan(nm2, "data"), "data")
-      })
-      cur = new RowScan(nm1, "data")
-      j += 1
+    val first = RadixJoinPlan.rankJoinStream(slot, ctx, JoinSpec(cfg), relField(0), relField(1))
+    // Stage j: re-shuffle the (uncompressed, multi-payload) intermediate and
+    // the next base relation under a fresh epoch placement, then join.
+    (2 until nRel).foldLeft(first) { (cur, j) =>
+      val sides = Seq(cur -> false, scanField(slot, relField(j)) -> cfg.compress)
+      partitioned(sides, ctx, cfg, ownerShift = j - 1) { (s, restore) =>
+        new Timed(
+          new BuildProbe(restore(s(1)), s(0), Seq("k"), JoinKind.Inner), ctx.timer, "buildProbe")
+      }
     }
-    new MaterializeRowVector(cur, "data")
   }
-
-  // ------------------------------------------------------------------- driver
 
   /** Shared driver harness: `relParts(i)` holds relation i sharded per rank.
     * Returns (flattened joined stream at the driver, executor).
@@ -119,15 +63,11 @@ object JoinSequencePlan {
       optimized: Boolean,
   ): (SubOp, MpiExecutor) = {
     val nRel = relParts.size
-    require(nRel >= 2 && relParts.forall(_.size == cfg.nRanks))
-    val inType = TupleType(
-      (0 until nRel).map(i => relField(i) -> (CollectionType(relType(i)): ItemType)).toVector)
-    val rows = (0 until cfg.nRanks)
-      .map(r => Array.tabulate[Any](nRel)(i => relParts(i)(r))).toIndexedSeq
-    val src = new VectorSource(rows, inType)
-    val exec = new MpiExecutor(src, cfg.net, (slot, ctx) =>
-      if (optimized) optimizedRankPlan(slot, ctx, cfg, nRel)
-      else naiveRankPlan(slot, ctx, cfg, nRel))
-    (new RowScan(exec, "data"), exec)
+    require(nRel >= 2)
+    onCluster(cfg, relParts.indices.map(i => (relField(i), relType(i), relParts(i)))) {
+      (slot, ctx) =>
+        if (optimized) optimizedRankPlan(slot, ctx, cfg, nRel)
+        else naiveRankPlan(slot, ctx, cfg, nRel)
+    }
   }
 }

@@ -22,15 +22,11 @@ object PlanPieces {
       net: NetConfig = NetConfig(),
       netBits: Int = 3,
       localBits: Int = 4,
-      pBits: Int = 32,
       compress: Boolean = true,
-      batchRows: Int = 1024,
   ) {
     require((1 << netBits) >= nRanks, s"netBits=$netBits gives fewer partitions than ranks=$nRanks")
     def netFan: Int = 1 << netBits
     def localFan: Int = 1 << localBits
-    def compression: Compression =
-      if (compress) Compression.radixLongPair(netBits, pBits) else Compression.none
   }
 
   /** `RowScan(Projection(ParameterLookup, field), field)` — dissect one
@@ -49,7 +45,7 @@ object PlanPieces {
     */
   def localPartOf(cfg: DistConfig, compressed: Boolean): Array[Any] => Int = {
     val mask = cfg.localFan - 1
-    if (compressed) t => ((t(0).asInstanceOf[Long] >>> cfg.pBits) & mask).toInt
+    if (compressed) t => ((t(0).asInstanceOf[Long] >>> Compression.PBits) & mask).toInt
     else t => ((t(0).asInstanceOf[Long] >>> cfg.netBits) & mask).toInt
   }
 
@@ -70,8 +66,7 @@ object PlanPieces {
     val lh = new Shared(
       new Timed(new LocalHistogram(sh.scan, cfg.netFan, netPart), ctx.timer, "localHistogram"))
     val gh = new MpiHistogram(lh.scan, cfg.netFan, ctx)
-    new MpiExchange(sh.scan, lh.scan, gh, cfg.netFan, netPart, ctx,
-      compression, cfg.batchRows, ownerShift = ownerShift)
+    new MpiExchange(sh.scan, lh.scan, gh, cfg.netFan, netPart, ctx, compression, ownerShift)
   }
 
   /** The local partitioning motif inside the first NestedMap of Figs 3/5:
@@ -104,17 +99,15 @@ object PlanPieces {
   /** Unpack radix-compressed words ⟨c⟩ into ⟨khi, valName⟩ (key high bits
     * still missing the partition bits, recovered later).
     */
-  def splitCompressed(up: SubOp, valName: String, cfg: DistConfig): SubOp = {
-    val pBits = cfg.pBits
+  def splitCompressed(up: SubOp, valName: String): SubOp =
     new MapOp(
       up,
       t => {
         val c = t(0).asInstanceOf[Long]
-        Array[Any](Compression.keyHi(c, pBits), Compression.value(c, pBits))
+        Array[Any](Compression.keyHi(c, Compression.PBits), Compression.value(c, Compression.PBits))
       },
       TupleType.of("khi" -> Atom.LongA, valName -> Atom.LongA),
     )
-  }
 
   /** Recover the partition bits dropped by the compression (ParametrizedMap
     * fed the networkPartitionID, §4.1.2): field 0 `khi` becomes the full key
@@ -139,6 +132,79 @@ object PlanPieces {
       },
       outT,
     )
+  }
+
+  /** The radix-partitioned skeleton of Figs 3–5 (§4.1–4.3), shared by the
+    * join, GROUP BY and join-sequence plans.
+    *
+    * Each side is a keyed stream (field 0 a long key). It is exchanged
+    * (radix-compressed when its flag is set, which needs ⟨long,long⟩
+    * tuples) and renamed to ⟨npid$i, data$i⟩. The sides are zipped
+    * partition by partition; side 0's exchange opens first, so every rank
+    * drives the collectives in the same order. The first NestedMap
+    * local-partitions every side and zips the sub-partitions. The second
+    * hands `body` one stream per side: ⟨khi, value⟩ for a compressed side
+    * (value named after the side's field 1), the keyed tuple otherwise.
+    * `body` also gets `restore`, which turns a leading `khi` back into the
+    * full key `k` from `npid0` and leaves any other stream as it is.
+    *
+    * The body's result is materialized per sub-partition, and `levelAgg`
+    * runs after each unnesting. Returns the flattened per-rank stream.
+    */
+  def partitioned(
+      sides: Seq[(SubOp, Boolean)],
+      ctx: MpiContext,
+      cfg: DistConfig,
+      ownerShift: Int = 0,
+      levelAgg: SubOp => SubOp = id,
+  )(body: (Seq[SubOp], SubOp => SubOp) => SubOp): SubOp = {
+    for ((keyed, compressed) <- sides) {
+      require(keyed.outType.fields.head._2 == Atom.LongA,
+        s"partition key (field 0) must be a long: ${keyed.outType.render}")
+      if (compressed)
+        require(keyed.outType.arity == 2 && keyed.outType.fields(1)._2 == Atom.LongA,
+          s"radix compression needs ⟨long,long⟩ tuples: ${keyed.outType.render}")
+    }
+    val idx = sides.indices
+    val exchanged = idx.map { i =>
+      val (keyed, compressed) = sides(i)
+      val compression =
+        if (compressed) Compression.radixLongPair(cfg.netBits) else Compression.none
+      new Rename(exchangePipeline(keyed, ctx, cfg, compression, ownerShift), Seq(s"npid$i", s"data$i"))
+    }
+    val nm1 = new NestedMap(new Zip(exchanged), slot1 => {
+      val local = idx.map(i =>
+        localPartitionSide(slot1, ctx, cfg, s"npid$i", s"data$i", s"lpid$i", s"ldata$i", sides(i)._2))
+      val nm2 = new NestedMap(new Zip(local), slot2 => {
+        val streams = idx.map { i =>
+          val (keyed, compressed) = sides(i)
+          val scan = scanField(slot2, s"ldata$i")
+          if (compressed) splitCompressed(scan, keyed.outType.fieldNames(1)) else scan
+        }
+        val restore: SubOp => SubOp = up =>
+          if (up.outType.fieldNames.head == "khi") restoreKeys(up, slot2, "npid0", cfg) else up
+        new MaterializeRowVector(body(streams, restore), "data")
+      })
+      new MaterializeRowVector(levelAgg(new RowScan(nm2, "data")), "data")
+    })
+    levelAgg(new RowScan(nm1, "data"))
+  }
+
+  /** Driver plan of every distributed plan: give rank r the tuple of its
+    * shards ⟨field_i = shards_i(r)⟩, run `rankStream` on the simulated
+    * cluster via MpiExecutor (materialized, one result tuple per rank) and
+    * flatten the per-rank results. Returns (driver-side stream, executor);
+    * the executor exposes per-rank timers and network statistics.
+    */
+  def onCluster(cfg: DistConfig, rels: Seq[(String, TupleType, Vector[RowVec])])(
+      rankStream: (ParamSlot, MpiContext) => SubOp): (SubOp, MpiExecutor) = {
+    require(rels.forall(_._3.size == cfg.nRanks),
+      s"every relation needs exactly one shard per rank (${cfg.nRanks})")
+    val inType = TupleType(rels.map { case (f, t, _) => f -> (CollectionType(t): ItemType) }.toVector)
+    val rows = (0 until cfg.nRanks).map(r => rels.map(_._3(r)).toArray[Any])
+    val exec = new MpiExecutor(new VectorSource(rows, inType), cfg.net,
+      (slot, ctx) => new MaterializeRowVector(rankStream(slot, ctx), "data"))
+    (new RowScan(exec, "data"), exec)
   }
 
   /** ⟨k, v⟩ long-pair sum combiner for ReduceByKey (key already stripped). */

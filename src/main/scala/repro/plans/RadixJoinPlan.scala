@@ -13,12 +13,12 @@ import PlanPieces._
 object RadixJoinPlan {
 
   /** Everything that parameterizes one distributed join. `preR`/`preS` turn
-    * the raw per-rank scan into a keyed stream (field 0 = "k": long).
+    * the raw per-rank scan into a keyed stream (field 0 = "k": long); the
+    * r side is the build side.
     */
   final case class JoinSpec(
       cfg: DistConfig,
       kind: JoinKind = JoinKind.Inner,
-      buildLeft: Boolean = true,
       preR: SubOp => SubOp = id,
       preS: SubOp => SubOp = id,
       postJoin: SubOp => SubOp = id,
@@ -35,65 +35,20 @@ object RadixJoinPlan {
       spec: JoinSpec,
       fieldR: String = "r",
       fieldS: String = "s",
-      ownerShift: Int = 0,
   ): SubOp = {
-    val cfg = spec.cfg
-    val rKeyed = spec.preR(scanField(slot, fieldR))
-    val sKeyed = spec.preS(scanField(slot, fieldS))
-    for (keyed <- Seq(rKeyed, sKeyed)) {
-      require(keyed.outType.fields.head._2 == Atom.LongA,
-        s"join key (field 0) must be a long: ${keyed.outType.render}")
-      if (cfg.compress)
-        require(keyed.outType.arity == 2 && keyed.outType.fields(1)._2 == Atom.LongA,
-          s"radix compression needs ⟨long,long⟩ tuples: ${keyed.outType.render}")
+    val sides = Seq(spec.preR(scanField(slot, fieldR)), spec.preS(scanField(slot, fieldS)))
+    partitioned(sides.map(_ -> spec.cfg.compress), ctx, spec.cfg, levelAgg = spec.levelAgg) {
+      (s, restore) =>
+        // Both sides share the join attribute: "khi" compressed, "k" raw.
+        val bp = new BuildProbe(s(0), s(1), Seq(s(0).outType.fieldNames.head), spec.kind)
+        spec.levelAgg(spec.postJoin(restore(new Timed(bp, ctx.timer, "buildProbe"))))
     }
-    val rValName = rKeyed.outType.fieldNames.lift(1).getOrElse("rv")
-    val sValName = sKeyed.outType.fieldNames.lift(1).getOrElse("sv")
-
-    val rEx = new Rename(
-      exchangePipeline(rKeyed, ctx, cfg, cfg.compression, ownerShift), Seq("rnpid", "rdata"))
-    val sEx = new Rename(
-      exchangePipeline(sKeyed, ctx, cfg, cfg.compression, ownerShift), Seq("snpid", "sdata"))
-    val zip = new Zip(Seq(rEx, sEx))
-
-    val nm1 = new NestedMap(zip, slot1 => {
-      val rL = localPartitionSide(slot1, ctx, cfg, "rnpid", "rdata", "rlpid", "rdatap", cfg.compress)
-      val sL = localPartitionSide(slot1, ctx, cfg, "snpid", "sdata", "slpid", "sdatap", cfg.compress)
-      // rL already carries rnpid; drop the duplicate npid of the s side? No:
-      // field names are distinct (rnpid/snpid), Zip concatenates both.
-      val zip2 = new Zip(Seq(rL, sL))
-
-      val nm2 = new NestedMap(zip2, slot2 => {
-        val rScan = scanField(slot2, "rdatap")
-        val sScan = scanField(slot2, "sdatap")
-        val rStream = if (cfg.compress) splitCompressed(rScan, rValName, cfg) else rScan
-        val sStream =
-          if (cfg.compress) {
-            val s0 = splitCompressed(sScan, sValName, cfg)
-            s0 // both sides share join attr "khi"; value names stay distinct
-          } else sScan
-        val (bld, prb) = if (spec.buildLeft) (rStream, sStream) else (sStream, rStream)
-        val attrs = if (cfg.compress) Seq("khi") else Seq("k")
-        val bp = new Timed(new BuildProbe(bld, prb, attrs, spec.kind), ctx.timer, "buildProbe")
-        val restored =
-          if (cfg.compress) restoreKeys(bp, slot2, "rnpid", cfg) else bp
-        new MaterializeRowVector(spec.levelAgg(spec.postJoin(restored)), "data")
-      })
-      new MaterializeRowVector(spec.levelAgg(new RowScan(nm2, "data")), "data")
-    })
-    spec.levelAgg(new RowScan(nm1, "data"))
   }
 
-  /** Full per-rank nested plan (ends in the MaterializeRowVector every
-    * nested plan must end with).
-    */
-  def rankPlan(slot: ParamSlot, ctx: MpiContext, spec: JoinSpec): SubOp =
-    new MaterializeRowVector(rankJoinStream(slot, ctx, spec), "data")
-
-  /** Driver-level plan: shard inputs one tuple per rank, run the nested plan
-    * on the simulated cluster via MpiExecutor, and flatten the per-rank
-    * results into a driver-side stream. Returns (stream, executor) — the
-    * executor exposes per-rank timers and network statistics.
+  /** Driver-level plan: shard inputs one tuple per rank, run the join on the
+    * simulated cluster and flatten the per-rank results into a driver-side
+    * stream. Returns (stream, executor) — the executor exposes per-rank
+    * timers and network statistics.
     */
   def driver(
       rParts: Vector[RowVec],
@@ -101,16 +56,7 @@ object RadixJoinPlan {
       rRawType: TupleType,
       sRawType: TupleType,
       spec: JoinSpec,
-  ): (SubOp, MpiExecutor) = {
-    require(rParts.size == spec.cfg.nRanks && sParts.size == spec.cfg.nRanks)
-    val inType = TupleType.of(
-      "r" -> CollectionType(rRawType),
-      "s" -> CollectionType(sRawType),
-    )
-    val rows = (0 until spec.cfg.nRanks)
-      .map(i => Array[Any](rParts(i), sParts(i))).toIndexedSeq
-    val src  = new VectorSource(rows, inType)
-    val exec = new MpiExecutor(src, spec.cfg.net, (slot, ctx) => rankPlan(slot, ctx, spec))
-    (new RowScan(exec, "data"), exec)
-  }
+  ): (SubOp, MpiExecutor) =
+    onCluster(spec.cfg, Seq(("r", rRawType, rParts), ("s", sRawType, sParts)))(
+      rankJoinStream(_, _, spec))
 }

@@ -113,7 +113,7 @@ object TpchPlans {
     val agg: SubOp => SubOp = up => new ReduceByKey(up, "pri",
       (a, b) => Array[Any](a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long]))
 
-    val spec = JoinSpec(cfg, kind = JoinKind.Semi, buildLeft = true,
+    val spec = JoinSpec(cfg, kind = JoinKind.Semi,
       preR = preLi, preS = preOrd, postJoin = post, levelAgg = agg)
     val (stream, exec) = RadixJoinPlan.driver(
       Workloads.shard(data.lineitem, cfg.nRanks), Workloads.shard(data.orders, cfg.nRanks),

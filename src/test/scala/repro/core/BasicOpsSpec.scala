@@ -11,12 +11,6 @@ class BasicOpsSpec extends AnyFunSuite {
     assert(asPairs(s.drain().toSeq) == Seq(1L -> 10L, 2L -> 20L))
   }
 
-  test("ConstSource emits exactly one tuple") {
-    val c = new ConstSource(Array[Any](7L), TupleType.of("x" -> Atom.LongA))
-    assert(c.drain().size == 1)
-    assert(c.drainOne()(0) == 7L)
-  }
-
   test("IterSource re-creates its iterator per open") {
     val it = new IterSource(() => Iterator(Array[Any](1L, 1L), Array[Any](2L, 2L)), PairT)
     assert(it.drain().size == 2)
@@ -59,7 +53,7 @@ class BasicOpsSpec extends AnyFunSuite {
   }
 
   test("ParametrizedMap passes the single parameter tuple to every call") {
-    val param = new ConstSource(Array[Any](100L), TupleType.of("p" -> Atom.LongA))
+    val param = new VectorSource(Vector(Array[Any](100L)), TupleType.of("p" -> Atom.LongA))
     val pm = new ParametrizedMap(src(1L -> 10L, 2L -> 20L), param,
       (p, t) => Array[Any](t(0).asInstanceOf[Long] + p(0).asInstanceOf[Long], t(1)),
       PairT)
@@ -129,7 +123,7 @@ class BasicOpsSpec extends AnyFunSuite {
   }
 
   test("CartesianProduct with single-tuple left side preserves cardinality") {
-    val l = new ConstSource(Array[Any](42), TupleType.of("npid" -> Atom.IntA))
+    val l = new VectorSource(Vector(Array[Any](42)), TupleType.of("npid" -> Atom.IntA))
     val r = src(1L -> 1L, 2L -> 2L)
     val rows = new CartesianProduct(l, r).drain()
     assert(rows.size == 2)

@@ -112,21 +112,6 @@ class MpiOpsSpec extends AnyFunSuite {
     assert(results(1) == Seq(0))
   }
 
-  test("MpiBroadcast replicates all tuples to all ranks") {
-    val n = 3
-    val rt = new MpiRuntime(n)
-    val results = rt.run { ctx =>
-      val rows = Seq(ctx.rank.toLong -> ctx.rank.toLong)
-      def keyed = src(rows: _*)
-      val one: Array[Any] => Int = _ => 0
-      val lc = new Shared(new LocalHistogram(keyed, 1, one))
-      val gc = new MpiHistogram(lc.scan, 1, ctx)
-      val bc = new MpiBroadcast(keyed, lc.scan, gc, ctx)
-      asPairs(bc.drain().toSeq).sorted
-    }
-    results.foreach(v => assert(v == Seq(0L -> 0L, 1L -> 1L, 2L -> 2L)))
-  }
-
   test("MpiExecutor runs the nested plan once per rank and collects in order") {
     val inT = TupleType.of("x" -> Atom.LongA)
     val srcRows = new VectorSource(

@@ -7,10 +7,10 @@ import repro.mpi.NetConfig
 import repro.plans.PlanPieces.DistConfig
 
 class JoinSeqSpec extends AnyFunSuite {
-  private def cfg(nRanks: Int) = DistConfig(
+  private def cfg(nRanks: Int, compress: Boolean = true) = DistConfig(
     nRanks = nRanks,
     net = NetConfig(ranksPerMachine = 1, crossBytesPerSec = Long.MaxValue, msgLatencyNanos = 0),
-    netBits = 3, localBits = 2, compress = true)
+    netBits = 3, localBits = 2, compress = compress)
 
   /** Canonicalize a joined stream: per tuple, key + sorted field-name/value
     * pairs (naive and optimized emit different field orders).
@@ -25,41 +25,45 @@ class JoinSeqSpec extends AnyFunSuite {
     (0 until nRel).map(i =>
       Workloads.shard(Workloads.densePairs(n, dup, seed = 100 + i), nRanks)).toVector
 
-  test("optimized 2-join sequence matches reference cardinality") {
-    val rels = relations(3, 64, 1, 2)
-    val (stream, _) = JoinSequencePlan.driver(rels, cfg(2), optimized = true)
-    assert(stream.drain().size == 64)
-  }
+  for (compress <- Seq(true, false)) {
+    val tag = if (compress) "" else " without compression"
 
-  test("naive == optimized for 2 joins (3 relations)") {
-    val rels = relations(3, 64, 1, 2)
-    val (o, _) = JoinSequencePlan.driver(rels, cfg(2), optimized = true)
-    val (nv, _) = JoinSequencePlan.driver(rels, cfg(2), optimized = false)
-    assert(canon(o) == canon(nv))
-  }
+    test(s"optimized 2-join sequence matches reference cardinality$tag") {
+      val rels = relations(3, 64, 1, 2)
+      val (stream, _) = JoinSequencePlan.driver(rels, cfg(2, compress), optimized = true)
+      assert(stream.drain().size == 64)
+    }
 
-  test("naive == optimized for 3 joins (4 relations)") {
-    val rels = relations(4, 64, 1, 2)
-    val (o, _) = JoinSequencePlan.driver(rels, cfg(2), optimized = true)
-    val (nv, _) = JoinSequencePlan.driver(rels, cfg(2), optimized = false)
-    assert(canon(o) == canon(nv))
-  }
+    test(s"naive == optimized for 2 joins (3 relations)$tag") {
+      val rels = relations(3, 64, 1, 2)
+      val (o, _) = JoinSequencePlan.driver(rels, cfg(2, compress), optimized = true)
+      val (nv, _) = JoinSequencePlan.driver(rels, cfg(2, compress), optimized = false)
+      assert(canon(o) == canon(nv))
+    }
 
-  test("naive == optimized with duplicated keys (growing intermediate)") {
-    val rels = relations(3, 64, 2, 2)
-    val (o, _) = JoinSequencePlan.driver(rels, cfg(2), optimized = true)
-    val (nv, _) = JoinSequencePlan.driver(rels, cfg(2), optimized = false)
-    val co = canon(o)
-    assert(co == canon(nv))
-    // dup=2 on all three relations: 64/2=32 keys, each 2×2×2 combinations
-    assert(co.size == 32 * 8)
-  }
+    test(s"naive == optimized for 3 joins (4 relations)$tag") {
+      val rels = relations(4, 64, 1, 2)
+      val (o, _) = JoinSequencePlan.driver(rels, cfg(2, compress), optimized = true)
+      val (nv, _) = JoinSequencePlan.driver(rels, cfg(2, compress), optimized = false)
+      assert(canon(o) == canon(nv))
+    }
 
-  test("naive == optimized on 4 ranks") {
-    val rels = relations(3, 128, 1, 4)
-    val (o, _) = JoinSequencePlan.driver(rels, cfg(4), optimized = true)
-    val (nv, _) = JoinSequencePlan.driver(rels, cfg(4), optimized = false)
-    assert(canon(o) == canon(nv))
+    test(s"naive == optimized with duplicated keys (growing intermediate)$tag") {
+      val rels = relations(3, 64, 2, 2)
+      val (o, _) = JoinSequencePlan.driver(rels, cfg(2, compress), optimized = true)
+      val (nv, _) = JoinSequencePlan.driver(rels, cfg(2, compress), optimized = false)
+      val co = canon(o)
+      assert(co == canon(nv))
+      // dup=2 on all three relations: 64/2=32 keys, each 2×2×2 combinations
+      assert(co.size == 32 * 8)
+    }
+
+    test(s"naive == optimized on 4 ranks$tag") {
+      val rels = relations(3, 128, 1, 4)
+      val (o, _) = JoinSequencePlan.driver(rels, cfg(4, compress), optimized = true)
+      val (nv, _) = JoinSequencePlan.driver(rels, cfg(4, compress), optimized = false)
+      assert(canon(o) == canon(nv))
+    }
   }
 
   test("optimized plan runs N+1 exchanges, naive runs 2N (by wire bytes)") {

@@ -21,8 +21,8 @@ class PlanPiecesSpec extends AnyFunSuite {
   test("DistConfig fanouts derive from bit widths") {
     val c = cfg(4)
     assert(c.netFan == 8 && c.localFan == 4)
-    assert(c.compression.enabled)
-    assert(!c.copy(compress = false).compression.enabled)
+    assert(Compression.radixLongPair(c.netBits).enabled)
+    assert(!Compression.none.enabled)
   }
 
   test("scanField dissects a collection field of the slot tuple") {
@@ -46,15 +46,15 @@ class PlanPiecesSpec extends AnyFunSuite {
     val com = localPartOf(c, compressed = true)
     val k = 0x5DL // binary 101_1101: net bits 101, local bits 11
     assert(raw(Array[Any](k, 0L)) == 3)
-    val packed = (k >>> c.netBits) << c.pBits | 7L
+    val packed = (k >>> c.netBits) << Compression.PBits | 7L
     assert(com(Array[Any](packed)) == 3)
   }
 
   test("splitCompressed unpacks keyHi and value") {
     val c = cfg(2)
-    val packed = Compression.radixLongPair(c.netBits, c.pBits).pack(Array[Any](42L, 7L), 0)
+    val packed = Compression.radixLongPair(c.netBits).pack(Array[Any](42L, 7L), 0)
     val src = new VectorSource(Vector(packed), TupleType.of("c" -> Atom.LongA))
-    val out = splitCompressed(src, "v", c).drainOne()
+    val out = splitCompressed(src, "v").drainOne()
     assert(out(0) == 42L >>> c.netBits)
     assert(out(1) == 7L)
   }
