@@ -16,15 +16,13 @@ class Fig6JoinBench extends AnyFunSuite {
   }
 
   test("Fig 6b — total runtime vs machines, overhead ratio") {
-    val out = JoinBench.fig6b(n, Seq(2, 4, 8))
-    println(out)
+    println(JoinBench.fig6b(n, Seq(2, 4, 8)))
   }
 
   test("shape: modular overhead is bounded (paper: 1.12-1.28x; ours is larger " +
       "without the paper's LLVM pipeline inlining, but must stay within ~4x)") {
-    JoinBench.runMonolith(n / 2, 4); JoinBench.runModularis(n / 2, 4) // warm JIT
-    val mono = (1 to 3).map(_ => JoinBench.runMonolith(n / 2, 4)).minBy(_.totalMs)
-    val mod  = (1 to 3).map(_ => JoinBench.runModularis(n / 2, 4)).minBy(_.totalMs)
+    val mono = best(3, 1)(JoinBench.runMonolith(n / 2, 4))(_.totalMs)
+    val mod  = best(3, 1)(JoinBench.runModularis(n / 2, 4))(_.totalMs)
     assert(mono.rows == mod.rows, "both implementations must agree on the result")
     assert(mod.totalMs < mono.totalMs * 4.0,
       s"modular ${mod.totalMs} ms should be within 4x of monolith ${mono.totalMs} ms")

@@ -1,6 +1,11 @@
 package repro.bench
 
-import repro.SparkSpec
+import java.nio.file.Files
+
+import repro.{Oracle, SparkSpec}
+import repro.baselines.VolcanoCsvEngine
+import repro.data.TpchLite
+import repro.plans.TpchPlans
 import BenchUtil._
 
 /** Fig 9: TPC-H Q4/Q12/Q14/Q19 — Modularis vs a compiled in-memory SQL
@@ -17,50 +22,34 @@ class Fig9TpchBench extends SparkSpec {
   }
 
   test("shape: the interpreted CSV engine is slower than Modularis read+exec") {
-    import java.nio.file.Files
-    import repro.baselines.VolcanoCsvEngine
-    import repro.data.TpchLite
-    import repro.plans.TpchPlans
-    import repro.plans.PlanPieces.DistConfig
-
-    val small = 0.05
-    val tables = TpchLite.tables(spark, small)
-    val dir = Files.createTempDirectory("tpch-shape").toFile
-    val csv = VolcanoTpch.Tables(
-      li = VolcanoCsvEngine.writeTable(tables("lineitem"), dir, "lineitem"),
-      ord = VolcanoCsvEngine.writeTable(tables("orders"), dir, "orders"),
-      part = VolcanoCsvEngine.writeTable(tables("part"), dir, "part"))
-    val cfg = DistConfig(nRanks = 8, net = netFor(4), netBits = 5,
-      localBits = 4, compress = false)
-
-    System.gc()
-    val modMs = minMs(3) {
-      val d = TpchCsv.load(csv, 8, Set("lineitem", "orders"))
-      TpchPlans.q4(d, cfg)
-    }
-    System.gc()
-    val volMs = minMs(3) { VolcanoCsvEngine.run(VolcanoTpch.q4(csv)) }
+    val csv = VolcanoTpch.Tables.write(
+      TpchLite.tables(spark, 0.05), Files.createTempDirectory("tpch-shape").toFile)
+    val cfg = cluster(4, compress = false)
+    val modMs = best(3, 1) {
+      timeMs(TpchPlans.q4(TpchCsv.load(csv, 8, Set("lineitem", "orders")), cfg))._2
+    }(identity)
+    val volMs = best(3, 1)(timeMs(VolcanoCsvEngine.run(VolcanoTpch.q4(csv)))._2)(identity)
     assert(volMs > modMs,
       s"interpreted engine ($volMs ms) should be slower than Modularis read+exec ($modMs ms)")
   }
 
   test("correctness: parallel CSV load equals the Spark-collected tables") {
-    import java.nio.file.Files
-    import repro.baselines.VolcanoCsvEngine
-    import repro.data.TpchLite
-    import repro.plans.TpchPlans
-
     val tables = TpchLite.tables(spark, 0.002)
-    val dir = Files.createTempDirectory("tpch-roundtrip").toFile
-    val csv = VolcanoTpch.Tables(
-      li = VolcanoCsvEngine.writeTable(tables("lineitem"), dir, "lineitem"),
-      ord = VolcanoCsvEngine.writeTable(tables("orders"), dir, "orders"),
-      part = VolcanoCsvEngine.writeTable(tables("part"), dir, "part"))
+    val csv = VolcanoTpch.Tables.write(tables, Files.createTempDirectory("tpch-roundtrip").toFile)
     val fromCsv = TpchCsv.load(csv, 4)
     val fromDf  = TpchPlans.TpchData.fromTables(tables)
     def canon(a: Array[Array[Any]]) = a.map(_.mkString("|")).sorted.toSeq
     assert(canon(fromCsv.lineitem) == canon(fromDf.lineitem))
     assert(canon(fromCsv.orders) == canon(fromDf.orders))
     assert(canon(fromCsv.part) == canon(fromDf.part))
+  }
+
+  test("correctness: the Spark column's SQL answers match DuckDB") {
+    val tables = TpchLite.tables(spark, 0.005)
+    tables.foreach { case (n, df) => df.createOrReplaceTempView(n) }
+    val scanned = Seq("lineitem", "orders", "part").map(n => n -> tables(n))
+    TpchPlans.All.foreach { case (_, _, sql) =>
+      Oracle.assertEquivalent(spark.sql(sql), sql, scanned: _*)
+    }
   }
 }

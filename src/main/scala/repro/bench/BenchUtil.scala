@@ -1,22 +1,24 @@
 package repro.bench
 
+import repro.core.SubOp
 import repro.mpi.NetConfig
+import repro.plans.PlanPieces.DistConfig
 
-/** Shared benchmark harness helpers: timing, environment knobs, and the
-  * markdown tables each bench prints (one per paper table/figure; paper
-  * numbers alongside ours live in EXPERIMENTS.md).
+/** The harness of the `bench/` suites: the simulated cluster, environment
+  * knobs, timing, and the markdown tables each suite prints (one per paper
+  * table/figure; paper numbers alongside ours live in EXPERIMENTS.md).
   */
 object BenchUtil {
 
-  /** Simulated cluster topology used by all benches (Table 2 substitute):
-    * ranks-per-machine 2 (two simulated cores per machine, bounded by the
-    * 16-core driver), QDR-InfiniBand-like 3 GB/s cross-machine bandwidth.
+  /** The simulated cluster of every bench (Table 2 substitute): two ranks
+    * (simulated cores) per machine, QDR-InfiniBand-like 3 GB/s
+    * cross-machine bandwidth and 1.5 µs per message, 2^5 network and 2^4
+    * local partitions.
     */
-  val RanksPerMachine = 2
-  def netFor(machines: Int): NetConfig = NetConfig(
-    ranksPerMachine = RanksPerMachine,
-    crossBytesPerSec = 3_000_000_000L,
-    msgLatencyNanos = 1_500)
+  def cluster(machines: Int, compress: Boolean = true): DistConfig = DistConfig(
+    nRanks = machines * 2,
+    net = NetConfig(ranksPerMachine = 2, crossBytesPerSec = 3_000_000_000L, msgLatencyNanos = 1_500),
+    netBits = 5, localBits = 4, compress = compress)
 
   def envInt(name: String, default: Int): Int =
     sys.env.get(name).map(_.toInt).getOrElse(default)
@@ -29,22 +31,30 @@ object BenchUtil {
     (r, (System.nanoTime() - t0) / 1e6)
   }
 
-  /** Minimum of `n` timed runs (after `warmup` discarded runs) — the robust
-    * estimator on a shared JVM where major GCs land on random runs.
+  /** Run `warmup` discarded runs, collect the heap, then return the fastest
+    * of `n` runs by `ms` — the robust estimator on a shared JVM where major
+    * GCs land on random runs.
     */
-  def minMs(n: Int, warmup: Int = 1)(f: => Unit): Double = {
-    var i = 0
-    while (i < warmup) { f; i += 1 }
-    var best = Double.MaxValue
-    i = 0
-    while (i < n) { best = math.min(best, timeMs(f)._2); i += 1 }
-    best
+  def best[T](n: Int, warmup: Int)(run: => T)(ms: T => Double): T = {
+    (1 to warmup).foreach(_ => run)
+    System.gc()
+    (1 to n).map(_ => run).minBy(ms)
+  }
+
+  /** Open `stream`, count its rows and close it: (rows, wall ms). */
+  def drainTimed(stream: SubOp): (Long, Double) = timeMs {
+    var rows = 0L
+    stream.open()
+    var t = stream.next()
+    while (t != null) { rows += 1; t = stream.next() }
+    stream.close()
+    rows
   }
 
   def fmt(d: Double): String = f"$d%.1f"
 
-  /** Render a markdown table; every bench prints its figure/table this way
-    * so `bench_output.txt` is directly diffable against EXPERIMENTS.md.
+  /** Render a markdown table; every suite prints its figure/table this way,
+    * in the layout of EXPERIMENTS.md.
     */
   def table(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
     val sb = new StringBuilder
@@ -53,11 +63,5 @@ object BenchUtil {
     sb.append(header.map(_ => "---").mkString("| ", " | ", " |\n"))
     rows.foreach(r => sb.append(r.mkString("| ", " | ", " |\n")))
     sb.toString
-  }
-
-  def banner(s: String): Unit = {
-    println("=" * 72)
-    println(s)
-    println("=" * 72)
   }
 }

@@ -1,5 +1,6 @@
 package repro.bench
 
+import repro.core.RowVec
 import repro.plans.{GroupByPlan, Workloads}
 import repro.plans.PlanPieces.DistConfig
 import BenchUtil._
@@ -7,48 +8,29 @@ import BenchUtil._
 /** Fig 7 reproduction: distributed GROUP BY runtime — varying cluster size
   * at fixed key cardinality (left plot) and varying key cardinality (values
   * per key) for different cluster sizes (right plot). Workload: ⟨8B,8B⟩
-  * tuples (paper: 2048 M keys; here `REPRO_GROUPBY_ROWS`, default 2 M).
+  * tuples (paper: 2048 M keys; here `n`).
   */
 object GroupByBench {
 
-  private def cfg(machines: Int) = DistConfig(
-    nRanks = machines * RanksPerMachine,
-    net = netFor(machines),
-    netBits = 5, localBits = 4, compress = true)
-
-  def runOn(parts: Vector[repro.core.RowVec], c: DistConfig): (Double, Long) = {
+  private def runOn(parts: Vector[RowVec], c: DistConfig): (Double, Long) = {
     val (stream, _) = GroupByPlan.driver(parts, Workloads.PairType, c, mergeAtDriver = false)
-    var groups = 0L
-    val (_, ms) = timeMs {
-      groups = 0L
-      stream.open()
-      var t = stream.next()
-      while (t != null) { groups += 1; t = stream.next() }
-      stream.close()
-    }
+    val (groups, ms) = drainTimed(stream)
     (ms, groups)
   }
 
   /** Best of `reps` runs after one warm-up on a single generated input
-    * (robust to shared-JVM GC noise).
+    * (robust to shared-JVM GC noise): (ms, groups).
     */
-  def avgRun(n: Int, machines: Int, dup: Int, reps: Int): (Double, Long) = {
-    val c = cfg(machines)
+  def bestRun(n: Int, machines: Int, dup: Int, reps: Int): (Double, Long) = {
+    val c = cluster(machines)
     val parts = Workloads.shard(Workloads.densePairs(n, dup, seed = 7), c.nRanks)
-    System.gc()
-    runOn(parts, c) // warm-up
-    var best = Double.MaxValue; var groups = 0L
-    (1 to reps).foreach { _ =>
-      val (ms, g) = runOn(parts, c)
-      best = math.min(best, ms); groups = g
-    }
-    (best, groups)
+    best(reps, 1)(runOn(parts, c))(_._1)
   }
 
   /** Fig 7 left: runtime vs machines, each key occurring once. */
-  def fig7Left(n: Int, machineCounts: Seq[Int], reps: Int = 3): String = {
+  def fig7Left(n: Int, machineCounts: Seq[Int]): String = {
     val rows = machineCounts.map { m =>
-      val (ms, groups) = avgRun(n, m, dup = 1, reps)
+      val (ms, groups) = bestRun(n, m, dup = 1, reps = 3)
       Seq(m.toString, fmt(ms), groups.toString)
     }
     table(s"Fig 7 (left) — GROUP BY runtime vs machines (n=$n keys, 1 value/key)",
@@ -59,21 +41,11 @@ object GroupByBench {
     * the paper observes near-constant time (network + materialization
     * dominate) with a slight decrease at higher multiplicity.
     */
-  def fig7Right(n: Int, machineCounts: Seq[Int], dups: Seq[Int], reps: Int = 3): String = {
+  def fig7Right(n: Int, machineCounts: Seq[Int], dups: Seq[Int]): String = {
     val rows = dups.map { d =>
-      d.toString +: machineCounts.map { m =>
-        val (ms, _) = avgRun(n, m, d, reps)
-        fmt(ms)
-      }
+      d.toString +: machineCounts.map(m => fmt(bestRun(n, m, d, reps = 3)._1))
     }
     table(s"Fig 7 (right) — GROUP BY runtime vs values/key (n=$n tuples)",
       "values per key" +: machineCounts.map(m => s"$m machines (ms)"), rows)
-  }
-
-  def main(args: Array[String]): Unit = {
-    val n = envInt("REPRO_GROUPBY_ROWS", 2_000_000)
-    banner("Fig 7 — distributed GROUP BY")
-    println(fig7Left(n, Seq(2, 4, 8)))
-    println(fig7Right(n, Seq(2, 4, 8), Seq(1, 2, 4, 8)))
   }
 }

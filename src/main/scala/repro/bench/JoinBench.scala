@@ -11,24 +11,18 @@ import BenchUtil._
 /** Fig 6 reproduction: the monolithic RDMA-style radix join vs. the
   * Modularis sub-operator plan — per-phase breakdown (6a) and total runtime
   * across simulated machine counts (6b). Workload: two ⟨8B,8B⟩ relations
-  * with a 1-on-1 key correspondence (paper: 2048 M tuples; here
-  * `REPRO_JOIN_ROWS`, default 1 M — DESIGN.md scaling substitution).
+  * with a 1-on-1 key correspondence (paper: 2048 M tuples; here `n` per
+  * relation — DESIGN.md scaling substitution).
   *
   * Inputs are generated once per machine configuration and reused across
-  * repetitions (with a GC in between) so the timed region measures the join,
-  * not collection of the previous run's garbage; the reported number is the
-  * best of `reps` runs (robust under shared-JVM GC noise).
+  * repetitions so the timed region measures the join; the reported number
+  * is the best of 5 runs (robust under shared-JVM GC noise).
   */
 object JoinBench {
-  val Phases = Seq("localHistogram", "globalHistogram", "networkPartition",
+  private val Phases = Seq("localHistogram", "globalHistogram", "networkPartition",
     "localPartition", "buildProbe")
 
   final case class RunResult(totalMs: Double, phasesMs: Map[String, Double], rows: Long)
-
-  private def cfg(machines: Int) = DistConfig(
-    nRanks = machines * RanksPerMachine,
-    net = netFor(machines),
-    netBits = 5, localBits = 4, compress = true)
 
   private def inputs(n: Int, c: DistConfig): (Vector[RowVec], Vector[RowVec]) = {
     val r = Workloads.shard(Workloads.densePairs(n, 1, seed = 1), c.nRanks)
@@ -37,57 +31,46 @@ object JoinBench {
     (r, s)
   }
 
-  def runMonolithOn(r: Vector[RowVec], s: Vector[RowVec], c: DistConfig): RunResult = {
+  private def phasesMs(timers: Seq[PhaseTimer]): Map[String, Double] =
+    PhaseTimer.maxAcross(timers).map { case (k, v) => k -> v / 1e6 }
+
+  private def runMonolithOn(r: Vector[RowVec], s: Vector[RowVec], c: DistConfig): RunResult = {
     val (results, ms) = timeMs {
       MonolithicRadixJoin.run(r, s, c.nRanks, c.net, c.netBits, c.localBits)
     }
-    val phases = PhaseTimer.maxAcross(results.map(_.timer))
-      .map { case (k, v) => k -> v / 1e6 }
-    RunResult(ms, phases, MonolithicRadixJoin.totalRows(results))
+    RunResult(ms, phasesMs(results.map(_.timer)), MonolithicRadixJoin.totalRows(results))
   }
 
-  def runModularisOn(r: Vector[RowVec], s: Vector[RowVec], c: DistConfig): RunResult = {
+  private def runModularisOn(r: Vector[RowVec], s: Vector[RowVec], c: DistConfig): RunResult = {
     val (stream, exec) = RadixJoinPlan.driver(
       r, s, Workloads.pairTypeNamed("rv"), Workloads.pairTypeNamed("sv"), JoinSpec(c))
-    var rows = 0L
-    val (_, ms) = timeMs {
-      rows = 0L
-      stream.open()
-      var t = stream.next()
-      while (t != null) { rows += 1; t = stream.next() }
-      stream.close()
-    }
-    val phases = PhaseTimer
-      .maxAcross(exec.lastRuntime.lastContexts.map(_.timer))
-      .map { case (k, v) => k -> v / 1e6 }
-    RunResult(ms, phases, rows)
+    val (rows, ms) = drainTimed(stream)
+    RunResult(ms, phasesMs(exec.lastRuntime.lastContexts.map(_.timer)), rows)
   }
 
   def runMonolith(n: Int, machines: Int): RunResult = {
-    val c = cfg(machines); val (r, s) = inputs(n, c)
+    val c = cluster(machines); val (r, s) = inputs(n, c)
     runMonolithOn(r, s, c)
   }
 
   def runModularis(n: Int, machines: Int): RunResult = {
-    val c = cfg(machines); val (r, s) = inputs(n, c)
+    val c = cluster(machines); val (r, s) = inputs(n, c)
     runModularisOn(r, s, c)
   }
 
-  /** Best-of-reps for both implementations on shared inputs. */
-  private def measure(n: Int, machines: Int, reps: Int): (RunResult, RunResult) = {
-    val c = cfg(machines)
+  /** Best of 5 runs for both implementations on shared inputs. */
+  private def measure(n: Int, machines: Int): (RunResult, RunResult) = {
+    val c = cluster(machines)
     val (r, s) = inputs(n, c)
-    runMonolithOn(r, s, c); runModularisOn(r, s, c) // warm-up
-    System.gc()
-    val mono = (1 to reps).map(_ => runMonolithOn(r, s, c)).minBy(_.totalMs)
-    val mod  = (1 to reps).map(_ => runModularisOn(r, s, c)).minBy(_.totalMs)
+    val mono = best(5, 1)(runMonolithOn(r, s, c))(_.totalMs)
+    val mod  = best(5, 1)(runModularisOn(r, s, c))(_.totalMs)
     require(mono.rows == mod.rows, s"monolith ${mono.rows} != modularis ${mod.rows}")
     (mono, mod)
   }
 
   /** Fig 6a: per-phase breakdown at the given machine counts. */
-  def fig6a(n: Int, machineCounts: Seq[Int], reps: Int = 5): String = {
-    val results = machineCounts.map(m => m -> measure(n, m, reps))
+  def fig6a(n: Int, machineCounts: Seq[Int]): String = {
+    val results = machineCounts.map(m => m -> measure(n, m))
     val header = "phase" +: results.flatMap { case (m, _) =>
       Seq(s"monolith ${m}m (ms)", s"modularis ${m}m (ms)")
     }
@@ -102,22 +85,14 @@ object JoinBench {
   /** Fig 6b: total runtime vs machines, with the modular overhead ratio
     * (paper: 12–28 % slower).
     */
-  def fig6b(n: Int, machineCounts: Seq[Int], reps: Int = 5): String = {
+  def fig6b(n: Int, machineCounts: Seq[Int]): String = {
     val rows = machineCounts.map { m =>
-      val (mono, mod) = measure(n, m, reps)
+      val (mono, mod) = measure(n, m)
       Seq(m.toString, fmt(mono.totalMs), fmt(mod.totalMs),
         f"${(mod.totalMs / mono.totalMs - 1) * 100}%.0f%%", mono.rows.toString)
     }
     table(s"Fig 6b — join total runtime vs machines (n=$n tuples/relation)",
       Seq("machines", "monolith (ms)", "modularis (ms)", "modular overhead", "output rows"),
       rows)
-  }
-
-  def main(args: Array[String]): Unit = {
-    val n = envInt("REPRO_JOIN_ROWS", 1_000_000)
-    banner(s"Fig 6 — distributed radix join, monolithic vs Modularis; " +
-      s"cluster: ${RanksPerMachine} ranks/machine")
-    println(fig6a(n, Seq(4, 8)))
-    println(fig6b(n, Seq(2, 4, 8)))
   }
 }

@@ -1,5 +1,6 @@
 package repro.bench
 
+import repro.core.RowVec
 import repro.plans.{JoinSequencePlan, Workloads}
 import repro.plans.PlanPieces.DistConfig
 import BenchUtil._
@@ -8,15 +9,10 @@ import BenchUtil._
   * (re-shuffle every intermediate; 2N exchanges) vs optimized (exchange all
   * N+1 relations up-front). Sub-plots: (a) runtime vs machines; (b) runtime
   * vs first-join output size; (c) network time/bytes vs output size;
-  * (d) runtime vs number of joins. Relations: ⟨8B,8B⟩, default 1 M tuples
-  * each (`REPRO_JOINSEQ_ROWS`; paper: 2048 M).
+  * (d) runtime vs number of joins. Relations: ⟨8B,8B⟩, `n` tuples each
+  * (paper: 2048 M).
   */
 object JoinSeqBench {
-
-  private def cfg(machines: Int) = DistConfig(
-    nRanks = machines * RanksPerMachine,
-    net = netFor(machines),
-    netBits = 5, localBits = 4, compress = true)
 
   final case class SeqResult(
       totalMs: Double, networkMs: Double, bytes: Long, rows: Long)
@@ -24,21 +20,14 @@ object JoinSeqBench {
   /** Duplication only on the first two relations: the FIRST join's output
     * grows as dup*n (the Fig 8b x-axis) while later joins stay selective.
     */
-  def relations(n: Int, nRel: Int, dup: Int, c: DistConfig): Vector[Vector[repro.core.RowVec]] =
+  private def relations(n: Int, nRel: Int, dup: Int, c: DistConfig): Vector[Vector[RowVec]] =
     (0 until nRel).map(i =>
       Workloads.shard(
         Workloads.densePairs(n, if (i < 2) dup else 1, seed = 100 + i), c.nRanks)).toVector
 
-  def runOn(rels: Vector[Vector[repro.core.RowVec]], c: DistConfig, optimized: Boolean): SeqResult = {
+  private def runOn(rels: Vector[Vector[RowVec]], c: DistConfig, optimized: Boolean): SeqResult = {
     val (stream, exec) = JoinSequencePlan.driver(rels, c, optimized)
-    var rows = 0L
-    val (_, ms) = timeMs {
-      rows = 0L
-      stream.open()
-      var t = stream.next()
-      while (t != null) { rows += 1; t = stream.next() }
-      stream.close()
-    }
+    val (rows, ms) = drainTimed(stream)
     val ctxs = exec.lastRuntime.lastContexts
     val netMs = ctxs.map(_.timer.nanos("networkPartition")).max / 1e6
     val bytes = ctxs.map(c0 => c0.stats.bytesCross + c0.stats.bytesLocal).sum
@@ -46,29 +35,25 @@ object JoinSeqBench {
   }
 
   def runOnce(n: Int, machines: Int, nRel: Int, dup: Int, optimized: Boolean): SeqResult = {
-    val c = cfg(machines)
+    val c = cluster(machines)
     runOn(relations(n, nRel, dup, c), c, optimized)
   }
 
   /** Best of `reps` runs after one warm-up on a single generated input
     * (robust to shared-JVM GC noise).
     */
-  def avgRun(n: Int, machines: Int, nRel: Int, dup: Int, optimized: Boolean,
-             reps: Int = 3): SeqResult = {
-    val c = cfg(machines)
+  def bestRun(n: Int, machines: Int, nRel: Int, dup: Int, optimized: Boolean,
+              reps: Int = 3): SeqResult = {
+    val c = cluster(machines)
     val rels = relations(n, nRel, dup, c)
-    System.gc()
-    runOn(rels, c, optimized) // warm-up
-    val runs = (1 to reps).map(_ => runOn(rels, c, optimized))
-    val best = runs.minBy(_.totalMs)
-    SeqResult(best.totalMs, best.networkMs, best.bytes, best.rows)
+    best(reps, 1)(runOn(rels, c, optimized))(_.totalMs)
   }
 
   /** Fig 8a: 2-join sequence (3 relations), naive vs optimized vs machines. */
   def fig8a(n: Int, machineCounts: Seq[Int]): String = {
     val rows = machineCounts.map { m =>
-      val o = avgRun(n, m, 3, 1, optimized = true)
-      val v = avgRun(n, m, 3, 1, optimized = false)
+      val o = bestRun(n, m, 3, 1, optimized = true)
+      val v = bestRun(n, m, 3, 1, optimized = false)
       require(o.rows == v.rows)
       Seq(m.toString, fmt(v.totalMs), fmt(o.totalMs), f"${v.totalMs / o.totalMs}%.2fx")
     }
@@ -81,8 +66,8 @@ object JoinSeqBench {
     */
   def fig8bc(n: Int, machines: Int, dups: Seq[Int]): String = {
     val rows = dups.map { d =>
-      val o = avgRun(n, machines, 3, d, optimized = true)
-      val v = avgRun(n, machines, 3, d, optimized = false)
+      val o = bestRun(n, machines, 3, d, optimized = true)
+      val v = bestRun(n, machines, 3, d, optimized = false)
       Seq(s"${d}x (${o.rows} rows)",
         fmt(v.totalMs), fmt(o.totalMs),
         fmt(v.networkMs), fmt(o.networkMs),
@@ -98,20 +83,12 @@ object JoinSeqBench {
   /** Fig 8d: runtime vs number of joins. */
   def fig8d(n: Int, machines: Int, joinCounts: Seq[Int]): String = {
     val rows = joinCounts.map { j =>
-      val o = avgRun(n, machines, j + 1, 1, optimized = true, reps = 5)
-      val v = avgRun(n, machines, j + 1, 1, optimized = false, reps = 5)
+      val o = bestRun(n, machines, j + 1, 1, optimized = true, reps = 5)
+      val v = bestRun(n, machines, j + 1, 1, optimized = false, reps = 5)
       require(o.rows == v.rows)
       Seq(j.toString, fmt(v.totalMs), fmt(o.totalMs), f"${v.totalMs - o.totalMs}%.1f")
     }
     table(s"Fig 8d — runtime vs number of joins ($machines machines, n=$n/relation)",
       Seq("joins", "naive (ms)", "optimized (ms)", "difference (ms)"), rows)
-  }
-
-  def main(args: Array[String]): Unit = {
-    val n = envInt("REPRO_JOINSEQ_ROWS", 500_000)
-    banner("Fig 8 — sequences of joins, naive vs optimized")
-    println(fig8a(n, Seq(2, 4, 8)))
-    println(fig8bc(n, 8, Seq(1, 2, 3, 4)))
-    println(fig8d(n, 8, Seq(2, 3, 4)))
   }
 }

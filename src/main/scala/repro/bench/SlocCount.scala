@@ -43,8 +43,7 @@ object SlocCount {
   def sloc(lines: Seq[String]): Int = {
     var inBlock = false
     var n = 0
-    lines.foreach { raw =>
-      var line = raw
+    lines.foreach { line =>
       val sb = new StringBuilder
       var i = 0
       while (i < line.length) {
@@ -100,7 +99,7 @@ object SlocCount {
 
   /** Locate the repo root whether invoked from the root or a subproject. */
   def detectBase(): File =
-    Seq(new File("."), new File(".."), new File("/root/repo"))
+    Seq(new File("."), new File(".."))
       .find(b => new File(b, Src).isDirectory)
       .getOrElse(throw new IllegalStateException(s"cannot locate $Src"))
 
@@ -130,10 +129,5 @@ object SlocCount {
           "3.8x", f"${mono.toDouble / ourPlat}%.1fx"),
       ))
     t1 + t2
-  }
-
-  def main(args: Array[String]): Unit = {
-    banner("Table 1 — implementation effort")
-    println(run())
   }
 }

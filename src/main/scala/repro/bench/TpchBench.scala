@@ -8,9 +8,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.baselines.VolcanoCsvEngine
 import repro.data.TpchLite
-import repro.plans.PlanPieces.DistConfig
 import repro.plans.TpchPlans
-import repro.plans.TpchPlans.TpchData
 import BenchUtil._
 
 /** Fig 9 reproduction: TPC-H Q4/Q12/Q14/Q19 (paper: SF-500, 8 machines).
@@ -26,49 +24,11 @@ import BenchUtil._
   *    CSV storage every run (DESIGN.md substitution: generic interpreted
   *    warehouse; single-threaded — its per-node parallelism stands in for
   *    Presto's much heavier per-row/coordination overheads).
-  *  - Spark SQL over cached tables is reported as an extra reference point;
-  *    its fixed distributed-planning overhead dominates at laptop scale.
+  *  - Spark SQL over cached tables, running the same SQL text as DuckDB, is
+  *    reported as an extra reference point; its fixed distributed-planning
+  *    overhead dominates at laptop scale.
   */
 object TpchBench {
-
-  val SparkSqls: Map[String, String] = Map(
-    "Q4" ->
-      """SELECT o_orderpriority, count(*) AS order_count
-        |FROM orders
-        |WHERE o_orderdate >= '1993-07-01' AND o_orderdate < '1993-10-01'
-        |  AND EXISTS (SELECT 1 FROM lineitem
-        |              WHERE l_orderkey = o_orderkey
-        |                AND l_commitdate < l_receiptdate)
-        |GROUP BY o_orderpriority""".stripMargin,
-    "Q12" ->
-      """SELECT l_shipmode,
-        |  sum(CASE WHEN o_orderpriority IN ('1-URGENT','2-HIGH') THEN 1 ELSE 0 END) AS high_line_count,
-        |  sum(CASE WHEN o_orderpriority NOT IN ('1-URGENT','2-HIGH') THEN 1 ELSE 0 END) AS low_line_count
-        |FROM orders JOIN lineitem ON o_orderkey = l_orderkey
-        |WHERE l_shipmode IN ('MAIL','SHIP')
-        |  AND l_commitdate < l_receiptdate AND l_shipdate < l_commitdate
-        |  AND l_receiptdate >= '1994-01-01' AND l_receiptdate < '1995-01-01'
-        |GROUP BY l_shipmode""".stripMargin,
-    "Q14" ->
-      """SELECT 100.00 * sum(CASE WHEN p_type LIKE 'PROMO%'
-        |    THEN l_extendedprice * (1 - l_discount) ELSE 0 END)
-        |  / sum(l_extendedprice * (1 - l_discount)) AS promo_revenue
-        |FROM lineitem, part
-        |WHERE l_partkey = p_partkey
-        |  AND l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'""".stripMargin,
-    "Q19" ->
-      """SELECT sum(l_extendedprice * (1 - l_discount)) AS revenue
-        |FROM lineitem, part
-        |WHERE p_partkey = l_partkey
-        |  AND l_shipmode IN ('AIR','REG AIR')
-        |  AND l_shipinstruct = 'DELIVER IN PERSON'
-        |  AND ((p_brand = 'Brand#12' AND p_container IN ('SM CASE','SM BOX','SM PACK','SM PKG')
-        |        AND l_quantity BETWEEN 1 AND 11 AND p_size BETWEEN 1 AND 5)
-        |    OR (p_brand = 'Brand#23' AND p_container IN ('MED BAG','MED BOX','MED PKG','MED PACK')
-        |        AND l_quantity BETWEEN 10 AND 20 AND p_size BETWEEN 1 AND 10)
-        |    OR (p_brand = 'Brand#34' AND p_container IN ('LG CASE','LG BOX','LG PACK','LG PKG')
-        |        AND l_quantity BETWEEN 20 AND 30 AND p_size BETWEEN 1 AND 15))""".stripMargin,
-  )
 
   /** Load the CSV tables into an in-memory DuckDB (typed columns; dates as
     * VARCHAR — ISO strings compare correctly, matching the oracle SQL).
@@ -103,68 +63,37 @@ object TpchBench {
     n
   }
 
-  def run(spark: SparkSession, sf: Double, machines: Int = 8, reps: Int = 3): String = {
-    val nRanks = machines * RanksPerMachine
-    val cfg = DistConfig(
-      nRanks = nRanks,
-      net = netFor(machines),
-      netBits = 5, localBits = 4, compress = false)
-
-    banner(s"Fig 9 — TPC-H SF=$sf on $machines simulated machines " +
-      s"(paper: SF-500 on 8 real machines)")
+  def run(spark: SparkSession, sf: Double): String = {
+    val cfg = cluster(8, compress = false)
 
     // ---- storage bootstrap: cached Spark tables → CSV files
     val tables = TpchLite.tables(spark, sf)
     tables.foreach { case (n, df) => df.createOrReplaceTempView(n) }
-    val dir = Files.createTempDirectory("tpch-csv").toFile
-    val csv = VolcanoTpch.Tables(
-      li = VolcanoCsvEngine.writeTable(tables("lineitem"), dir, "lineitem"),
-      ord = VolcanoCsvEngine.writeTable(tables("orders"), dir, "orders"),
-      part = VolcanoCsvEngine.writeTable(tables("part"), dir, "part"))
-    val data = TpchCsv.load(csv, nRanks)
+    val csv = VolcanoTpch.Tables.write(tables, Files.createTempDirectory("tpch-csv").toFile)
+    val data = TpchCsv.load(csv, cfg.nRanks)
     val duck = duckLoad(csv)
 
-    val duckSqls = TpchPlans.All.map { case (n, _, d) => n -> d }.toMap
+    def bestMs(f: => Any): Double = best(3, 1)(timeMs(f)._2)(identity)
     val neededTables = Map(
       "Q4" -> Set("lineitem", "orders"), "Q12" -> Set("lineitem", "orders"),
       "Q14" -> Set("lineitem", "part"), "Q19" -> Set("lineitem", "part"))
-    val rows = TpchPlans.All.map { case (name, q, _) =>
-      System.gc()
-      val modMs = minMs(reps) { q(data, cfg) }
-      val modReadMs = minMs(reps) {
-        val d = TpchCsv.load(csv, nRanks, neededTables(name))
-        q(d, cfg)
-      }
-      val duckMs = minMs(reps) { duckRun(duck, duckSqls(name)) }
-      System.gc()
-      val volMs = minMs(reps) {
-        VolcanoCsvEngine.run(VolcanoTpch.All.find(_._1 == name).get._2(csv))
-      }
-      System.gc()
-      val sparkMs = minMs(reps) { spark.sql(SparkSqls(name)).collect() }
+    val rows = TpchPlans.All.map { case (name, q, sql) =>
+      val modMs = bestMs(q(data, cfg))
+      val modReadMs = bestMs(q(TpchCsv.load(csv, cfg.nRanks, neededTables(name)), cfg))
+      val duckMs = bestMs(duckRun(duck, sql))
+      val volMs = bestMs(VolcanoCsvEngine.run(VolcanoTpch.All.find(_._1 == name).get._2(csv)))
+      val sparkMs = bestMs(spark.sql(sql).collect())
       Seq(name,
         fmt(modMs), fmt(duckMs), f"${modMs / duckMs}%.2fx",
         fmt(modReadMs), fmt(volMs), f"${volMs / modReadMs}%.1fx",
         fmt(sparkMs))
     }
     duck.close()
-    table(s"Fig 9 — TPC-H runtimes (SF=$sf)",
+    table(s"Fig 9 — TPC-H runtimes (SF=$sf, 8 simulated machines; paper: SF-500 on 8 machines)",
       Seq("query", "Modularis exec (ms)", "DuckDB \"MemSQL\" (ms)",
         "Modularis/\"MemSQL\"", "Modularis read+exec (ms)",
         "Volcano-CSV \"Presto\" (ms)", "\"Presto\"/Modularis",
         "SparkSQL cached (ms)"),
       rows)
-  }
-
-  def main(args: Array[String]): Unit = {
-    val sf = envDouble("REPRO_TPCH_SF", 0.1)
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("tpch-bench")
-      .config("spark.sql.shuffle.partitions", "64")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    try println(run(spark, sf))
-    finally spark.stop()
   }
 }

@@ -4,7 +4,6 @@ import java.io.File
 import java.nio.charset.StandardCharsets
 import java.nio.file.Files
 
-import repro.baselines.VolcanoCsvEngine.Schema
 import repro.plans.TpchPlans.TpchData
 
 /** Modularis's storage read path for Fig 9: each simulated rank reads its
@@ -17,8 +16,7 @@ object TpchCsv {
 
   private def parseChunk(
       lines: java.util.List[String], from: Int, until: Int,
-      out: Array[Array[Any]], schema: Schema,
-      build: Array[String] => Array[Any]): Unit = {
+      out: Array[Array[Any]], build: Array[String] => Array[Any]): Unit = {
     var i = from
     while (i < until) {
       out(i) = build(lines.get(i).split('|'))
@@ -26,8 +24,7 @@ object TpchCsv {
     }
   }
 
-  private def parallelParse(
-      file: File, schema: Schema, threads: Int)(
+  private def parallelParse(file: File, threads: Int)(
       build: Array[String] => Array[Any]): Array[Array[Any]] = {
     val lines = Files.readAllLines(file.toPath, StandardCharsets.UTF_8)
     val n = lines.size
@@ -38,7 +35,7 @@ object TpchCsv {
       if (from >= n) None
       else {
         val until = math.min(n, from + chunk)
-        val th = new Thread(() => parseChunk(lines, from, until, out, schema, build))
+        val th = new Thread(() => parseChunk(lines, from, until, out, build))
         th.start()
         Some(th)
       }
@@ -61,7 +58,7 @@ object TpchCsv {
       val i = Seq("l_orderkey", "l_partkey", "l_quantity", "l_extendedprice",
         "l_discount", "l_shipdate", "l_shipmode", "l_shipinstruct",
         "l_commitdate", "l_receiptdate").map(liS.idx).toArray
-      parallelParse(liF, liS, threads) { c =>
+      parallelParse(liF, threads) { c =>
         Array[Any](
           c(i(0)).toLong, c(i(1)).toLong, c(i(2)).toDouble, c(i(3)).toDouble,
           c(i(4)).toDouble, c(i(5)), c(i(6)), c(i(7)), c(i(8)), c(i(9)))
@@ -69,13 +66,13 @@ object TpchCsv {
     }
     val ord = if (!needed("orders")) Array.empty[Array[Any]] else {
       val i = Seq("o_orderkey", "o_orderpriority", "o_orderdate").map(ordS.idx).toArray
-      parallelParse(ordF, ordS, threads) { c =>
+      parallelParse(ordF, threads) { c =>
         Array[Any](c(i(0)).toLong, c(i(1)), c(i(2)))
       }
     }
     val part = if (!needed("part")) Array.empty[Array[Any]] else {
       val i = Seq("p_partkey", "p_type", "p_size", "p_brand", "p_container").map(pS.idx).toArray
-      parallelParse(pF, pS, threads) { c =>
+      parallelParse(pF, threads) { c =>
         Array[Any](c(i(0)).toLong, c(i(1)), c(i(2)).toInt, c(i(3)), c(i(4)))
       }
     }

@@ -2,6 +2,8 @@ package repro.bench
 
 import java.io.File
 
+import org.apache.spark.sql.DataFrame
+
 import repro.baselines.VolcanoCsvEngine._
 
 /** The paper's four TPC-H queries as operator trees for the interpreted
@@ -12,6 +14,16 @@ object VolcanoTpch {
 
   final case class Tables(
       li: (File, Schema), ord: (File, Schema), part: (File, Schema))
+
+  object Tables {
+    /** The CSV storage of Fig 9: write the lineitem, orders and part
+      * tables into `dir`, one `<name>.csv` file each.
+      */
+    def write(tables: Map[String, DataFrame], dir: File): Tables = {
+      def csv(name: String) = writeTable(tables(name), dir, name)
+      Tables(csv("lineitem"), csv("orders"), csv("part"))
+    }
+  }
 
   def q4(t: Tables): Op = {
     val (liF, liS) = t.li; val (ordF, ordS) = t.ord

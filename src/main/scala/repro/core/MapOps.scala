@@ -78,8 +78,8 @@ final class FilterOp(up: SubOp, pred: Array[Any] => Boolean) extends SubOp {
 }
 
 /** Transparent wrapper accumulating wall time spent inside the wrapped
-  * operator (open + every next) into a named phase — the benches use this to
-  * reproduce the paper's Fig 6 phase attribution (NM₁ − NM₂ arithmetic).
+  * operator (open + every next, inclusive of its upstream) into a named
+  * phase — the benches read these for the paper's Fig 6 phase breakdown.
   */
 final class Timed(up: SubOp, timer: repro.mpi.PhaseTimer, phase: String) extends SubOp {
   override val outType: TupleType = up.outType

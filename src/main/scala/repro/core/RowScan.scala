@@ -60,42 +60,31 @@ final class MaterializeRowVector(up: SubOp, field: String = "data") extends SubO
 }
 
 /** Materialization point for multi-consumer DAG edges (paper §3.2 pipeline
-  * cutting): the wrapped operator runs once per plan invocation; each
+  * cutting): the wrapped operator runs once per invocation of `scope`; each
   * consumer obtains an independent replay scan over the buffered result.
   *
-  * Invocation tracking: plans are constructed once but nested plans are
-  * re-opened per NestedMap input tuple, so the cache must refresh when a new
-  * invocation starts. Each consumer opens exactly once per invocation
-  * (Volcano discipline), so the first of every `consumerCount` opens
-  * re-materializes and the rest replay. All consumers must be obtained via
-  * [[scan]] before the first open.
+  * Plans are constructed once but nested plans are re-opened per input
+  * tuple of their scope, so the buffer belongs to one invocation: the first
+  * consumer to open after `scope.epoch` changed re-drains `up`, and every
+  * other open in the same invocation replays the buffer. A consumer may
+  * skip an invocation or open more than once in it.
   */
-final class Shared(up: SubOp) {
+final class Shared(up: SubOp, scope: ParamSlot) {
   private var buf: ArrayBuffer[Array[Any]] = _
-  private var consumers = 0
-  private var opens = 0
-  private var sealedConsumers = false
+  private var drainedAt = -1L
 
-  def scan: SubOp = {
-    require(!sealedConsumers, "all Shared consumers must be created before the first open")
-    consumers += 1
-    new SubOp {
-      override val outType: TupleType = up.outType
-      private var i = 0
-      override def open(): Unit = {
-        sealedConsumers = true
-        if (opens % consumers == 0) buf = up.drain()
-        opens += 1
-        i = 0
-      }
-      override def next(): Array[Any] = {
-        val b = buf
-        if (i >= b.size) null else { val t = b(i); i += 1; t }
-      }
-      override def close(): Unit = ()
-      override def render: String = s"SharedScan(${up.render})"
+  def scan: SubOp = new SubOp {
+    override val outType: TupleType = up.outType
+    private var i = 0
+    override def open(): Unit = {
+      if (drainedAt != scope.epoch) { buf = up.drain(); drainedAt = scope.epoch }
+      i = 0
     }
+    override def next(): Array[Any] = {
+      val b = buf
+      if (i >= b.size) null else { val t = b(i); i += 1; t }
+    }
+    override def close(): Unit = ()
+    override def render: String = s"SharedScan(${up.render})"
   }
-
-  def consumerCount: Int = consumers
 }

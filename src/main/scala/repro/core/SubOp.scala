@@ -47,9 +47,15 @@ trait SubOp {
 
 /** The channel through which NestedMap / MpiExecutor pass the current input
   * tuple of an enclosing scope into a nested plan's ParameterLookup.
+  * Every assignment of `current` starts a new invocation of the scope and
+  * bumps `epoch`, which [[Shared]] uses to know when to re-materialize.
   */
 final class ParamSlot(val tupleType: TupleType) {
-  var current: Array[Any] = _
+  private var tuple: Array[Any] = _
+  private var invocations = 0L
+  def current: Array[Any] = tuple
+  def current_=(t: Array[Any]): Unit = { tuple = t; invocations += 1 }
+  def epoch: Long = invocations
 }
 
 /** Encapsulates plan inputs in the operator interface (paper §3.3.1): the

@@ -3,7 +3,7 @@ package repro.monolith
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
-import repro.core.{RowVec, TupleType}
+import repro.core.RowVec
 import repro.mpi._
 
 /** The monolithic, hand-fused distributed radix hash join in the style of
@@ -228,12 +228,6 @@ object MonolithicRadixJoin {
       }
       out
     }
-  }
-
-  /** Static output schema of the fused join (for oracle comparisons). */
-  val OutType: TupleType = {
-    import repro.core.Atom._
-    TupleType.of("k" -> LongA, "rv" -> LongA, "sv" -> LongA)
   }
 
   /** Convenience: total output cardinality across ranks. */

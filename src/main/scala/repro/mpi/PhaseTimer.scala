@@ -20,7 +20,6 @@ final class PhaseTimer {
   }
 
   def nanos(phase: String): Long = acc.getOrElse(phase, 0L)
-  def millis(phase: String): Double = nanos(phase) / 1e6
   def phases: Vector[String] = acc.keys.toVector
   def snapshot: Map[String, Long] = acc.toMap
 }

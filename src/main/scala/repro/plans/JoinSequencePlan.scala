@@ -30,7 +30,7 @@ object JoinSequencePlan {
   def optimizedRankPlan(slot: ParamSlot, ctx: MpiContext, cfg: DistConfig, nRel: Int): SubOp = {
     require(nRel >= 2)
     val sides = (0 until nRel).map(i => scanField(slot, relField(i)) -> cfg.compress)
-    partitioned(sides, ctx, cfg) { (s, restore) =>
+    partitioned(sides, slot, ctx, cfg) { (s, restore) =>
       // Chain: output of the (i-1)-th BuildProbe probes the i-th (§4.2).
       val key = Seq(s(0).outType.fieldNames.head)
       restore(s.tail.foldLeft(s(0)) { (chain, rel) =>
@@ -47,7 +47,7 @@ object JoinSequencePlan {
     // the next base relation under a fresh epoch placement, then join.
     (2 until nRel).foldLeft(first) { (cur, j) =>
       val sides = Seq(cur -> false, scanField(slot, relField(j)) -> cfg.compress)
-      partitioned(sides, ctx, cfg, ownerShift = j - 1) { (s, restore) =>
+      partitioned(sides, slot, ctx, cfg, ownerShift = j - 1) { (s, restore) =>
         new Timed(
           new BuildProbe(restore(s(1)), s(0), Seq("k"), JoinKind.Inner), ctx.timer, "buildProbe")
       }

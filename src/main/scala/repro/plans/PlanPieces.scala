@@ -51,20 +51,23 @@ object PlanPieces {
 
   /** The paper's histogram-then-exchange pipeline (upper part of Fig 3):
     * Shared(keyed) → LocalHistogram → MpiHistogram → MpiExchange. The keyed
-    * stream is materialized once (pipeline cut: it has two consumers).
-    * Returns the ⟨npid, data⟩ stream of partitions owned by this rank.
+    * stream is materialized once per invocation of `scope`, the rank's slot
+    * (pipeline cut: it has two consumers). Returns the ⟨npid, data⟩ stream
+    * of partitions owned by this rank.
     */
   def exchangePipeline(
       keyed: SubOp,
+      scope: ParamSlot,
       ctx: MpiContext,
       cfg: DistConfig,
       compression: Compression,
       ownerShift: Int = 0,
   ): SubOp = {
     val netPart = netPartOf(cfg)
-    val sh = new Shared(keyed)
+    val sh = new Shared(keyed, scope)
     val lh = new Shared(
-      new Timed(new LocalHistogram(sh.scan, cfg.netFan, netPart), ctx.timer, "localHistogram"))
+      new Timed(new LocalHistogram(sh.scan, cfg.netFan, netPart), ctx.timer, "localHistogram"),
+      scope)
     val gh = new MpiHistogram(lh.scan, cfg.netFan, ctx)
     new MpiExchange(sh.scan, lh.scan, gh, cfg.netFan, netPart, ctx, compression, ownerShift)
   }
@@ -86,7 +89,7 @@ object PlanPieces {
       compressed: Boolean,
   ): SubOp = {
     val part = localPartOf(cfg, compressed)
-    val sh   = new Shared(scanField(slot1, dataField))
+    val sh   = new Shared(scanField(slot1, dataField), slot1)
     val lh   = new LocalHistogram(sh.scan, cfg.localFan, part)
     val lp   = new Timed(
       new LocalPartitioning(sh.scan, lh, cfg.localFan, part), ctx.timer, "localPartition")
@@ -149,10 +152,12 @@ object PlanPieces {
     * full key `k` from `npid0` and leaves any other stream as it is.
     *
     * The body's result is materialized per sub-partition, and `levelAgg`
-    * runs after each unnesting. Returns the flattened per-rank stream.
+    * runs after each unnesting. `slot` is the rank's slot, the scope of the
+    * exchanges. Returns the flattened per-rank stream.
     */
   def partitioned(
       sides: Seq[(SubOp, Boolean)],
+      slot: ParamSlot,
       ctx: MpiContext,
       cfg: DistConfig,
       ownerShift: Int = 0,
@@ -170,7 +175,7 @@ object PlanPieces {
       val (keyed, compressed) = sides(i)
       val compression =
         if (compressed) Compression.radixLongPair(cfg.netBits) else Compression.none
-      new Rename(exchangePipeline(keyed, ctx, cfg, compression, ownerShift), Seq(s"npid$i", s"data$i"))
+      new Rename(exchangePipeline(keyed, slot, ctx, cfg, compression, ownerShift), Seq(s"npid$i", s"data$i"))
     }
     val nm1 = new NestedMap(new Zip(exchanged), slot1 => {
       val local = idx.map(i =>

@@ -37,7 +37,7 @@ object RadixJoinPlan {
       fieldS: String = "s",
   ): SubOp = {
     val sides = Seq(spec.preR(scanField(slot, fieldR)), spec.preS(scanField(slot, fieldS)))
-    partitioned(sides.map(_ -> spec.cfg.compress), ctx, spec.cfg, levelAgg = spec.levelAgg) {
+    partitioned(sides.map(_ -> spec.cfg.compress), slot, ctx, spec.cfg, levelAgg = spec.levelAgg) {
       (s, restore) =>
         // Both sides share the join attribute: "khi" compressed, "k" raw.
         val bp = new BuildProbe(s(0), s(1), Seq(s(0).outType.fieldNames.head), spec.kind)

@@ -50,7 +50,6 @@ case class ModularisAggExec(
   }
 
   override protected def doExecute(): RDD[InternalRow] = {
-    val childTypes = child.output.map(_.dataType).toArray
     val boundGroup = groupingExprs.map(BindReferences.bindReference(_: Expression, child.output))
     val aggs: Seq[AggregateExpression] = plan.collect { case Right(ae) => ae }
     val boundAggChildren: Seq[Option[Expression]] = aggs.map(_.aggregateFunction match {
@@ -64,7 +63,6 @@ case class ModularisAggExec(
     }
     val outTypes = output.map(_.dataType).toArray
     val resultPlan = plan
-    val nGroup = groupingExprs.size
     val groupless = groupingExprs.isEmpty
 
     child.execute().mapPartitions { it =>

@@ -3,7 +3,7 @@ package repro.sparkext
 import org.apache.spark.sql.SparkSessionExtensions
 import org.apache.spark.sql.execution.SparkStrategy
 import org.apache.spark.sql.catalyst.expressions.{
-  Alias, AttributeReference, EqualTo, Expression, Literal, NamedExpression}
+  Alias, AttributeReference, EqualTo, Expression, NamedExpression}
 import org.apache.spark.sql.catalyst.expressions.aggregate.{
   AggregateExpression, Count, Sum}
 import org.apache.spark.sql.catalyst.plans.{Inner, LeftAnti, LeftSemi}

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import java.io.File
 import java.nio.file.Files
 
 import repro.SparkSpec

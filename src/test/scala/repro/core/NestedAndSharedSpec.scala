@@ -92,13 +92,16 @@ class NestedAndSharedSpec extends AnyFunSuite {
         if (i >= 2) null else { i += 1; Array[Any](i.toLong, i.toLong) }
       override def close(): Unit = ()
     }
-    val sh = new Shared(counted)
+    val slot = new ParamSlot(PairT)
+    val sh = new Shared(counted, slot)
     val s1 = sh.scan
     val s2 = sh.scan
+    slot.current = Array[Any](1L, 1L)
     assert(s1.drain().size == 2)
     assert(s2.drain().size == 2)
     assert(opens == 1) // one invocation: both consumers, one materialization
     // second invocation: both consumers re-open → exactly one more run
+    slot.current = Array[Any](2L, 2L)
     assert(s1.drain().size == 2)
     assert(s2.drain().size == 2)
     assert(opens == 2)
@@ -110,7 +113,7 @@ class NestedAndSharedSpec extends AnyFunSuite {
       ArrayBuffer(Array[Any](pairs(1L -> 1L)), Array[Any](pairs(5L -> 5L))),
       outerT)
     val nm = new NestedMap(outer, slot => {
-      val sh = new Shared(new RowScan(new ParameterLookup(slot), "data"))
+      val sh = new Shared(new RowScan(new ParameterLookup(slot), "data"), slot)
       val a = new Rename(sh.scan, Seq("ak", "av"))
       val b = new Rename(sh.scan, Seq("bk", "bv"))
       new Zip(Seq(a, b))
@@ -119,10 +122,16 @@ class NestedAndSharedSpec extends AnyFunSuite {
     assert(rows.map(_.toSeq) == Seq(Seq(1L, 1L, 1L, 1L), Seq(5L, 5L, 5L, 5L)))
   }
 
-  test("Shared refuses late consumers") {
-    val sh = new Shared(src(1L -> 1L))
+  test("a consumer that skips one invocation still reads the next invocation's rows") {
+    val slotT = TupleType.of("data" -> CollectionType(PairT))
+    val slot = new ParamSlot(slotT)
+    val sh = new Shared(new RowScan(new ParameterLookup(slot), "data"), slot)
     val s1 = sh.scan
-    s1.drain()
-    intercept[IllegalArgumentException](sh.scan)
+    val s2 = sh.scan
+    slot.current = Array[Any](pairs(1L -> 1L))
+    assert(asPairs(s1.drain().toSeq) == Seq(1L -> 1L)) // s2 skips this invocation
+    slot.current = Array[Any](pairs(5L -> 5L))
+    assert(asPairs(s2.drain().toSeq) == Seq(5L -> 5L))
+    assert(asPairs(s1.drain().toSeq) == Seq(5L -> 5L))
   }
 }

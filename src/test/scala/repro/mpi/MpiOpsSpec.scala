@@ -7,8 +7,6 @@ import repro.core._
 import repro.core.TestData._
 
 class MpiOpsSpec extends AnyFunSuite {
-  private val PairT = TestData.PairT
-
   private def bucketOf(n: Int): Array[Any] => Int =
     t => (t(0).asInstanceOf[Long] % n).toInt
 
@@ -31,7 +29,7 @@ class MpiOpsSpec extends AnyFunSuite {
       // every rank holds keys 0..7 with value = rank
       val rows = (0L until 8L).map(k => k -> ctx.rank.toLong)
       def keyed = src(rows: _*)
-      val lh = new Shared(new LocalHistogram(keyed, nPart, bucketOf(nPart)))
+      val lh = new Shared(new LocalHistogram(keyed, nPart, bucketOf(nPart)), new ParamSlot(PairT))
       val gh = new MpiHistogram(lh.scan, nPart, ctx)
       val ex = new MpiExchange(keyed, lh.scan, gh, nPart, bucketOf(nPart), ctx)
       ex.drain().map { t =>
@@ -57,7 +55,7 @@ class MpiOpsSpec extends AnyFunSuite {
     val counts = rt.run { ctx =>
       val rows = (0L until 100L).map(k => (k * 31 % 64) -> k)
       def keyed = src(rows: _*)
-      val lh = new Shared(new LocalHistogram(keyed, nPart, bucketOf(nPart)))
+      val lh = new Shared(new LocalHistogram(keyed, nPart, bucketOf(nPart)), new ParamSlot(PairT))
       val gh = new MpiHistogram(lh.scan, nPart, ctx)
       val ex = new MpiExchange(keyed, lh.scan, gh, nPart, bucketOf(nPart), ctx)
       ex.drain().map(_(1).asInstanceOf[RowVec].size).sum
@@ -74,7 +72,7 @@ class MpiOpsSpec extends AnyFunSuite {
       val rows = (0L until 16L).map(k => k -> (k * 10))
       def keyed = src(rows: _*)
       val part: Array[Any] => Int = t => (t(0).asInstanceOf[Long] & 1L).toInt
-      val lh = new Shared(new LocalHistogram(keyed, 2, part))
+      val lh = new Shared(new LocalHistogram(keyed, 2, part), new ParamSlot(PairT))
       val gh = new MpiHistogram(lh.scan, 2, ctx)
       val ex = new MpiExchange(keyed, lh.scan, gh, 2, part, ctx,
         Compression.radixLongPair(netBits))
@@ -103,7 +101,7 @@ class MpiOpsSpec extends AnyFunSuite {
     val results = rt.run { ctx =>
       val rows = (0L until 8L).map(k => k -> 0L)
       def keyed = src(rows: _*)
-      val lh = new Shared(new LocalHistogram(keyed, 2, bucketOf(2)))
+      val lh = new Shared(new LocalHistogram(keyed, 2, bucketOf(2)), new ParamSlot(PairT))
       val gh = new MpiHistogram(lh.scan, 2, ctx)
       val ex = new MpiExchange(keyed, lh.scan, gh, 2, bucketOf(2), ctx, ownerShift = 1)
       ex.drain().map(_(0).asInstanceOf[Int]).toSeq

@@ -2,7 +2,6 @@ package repro.plans
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core._
 import repro.mpi.NetConfig
 import repro.plans.PlanPieces.DistConfig
 

@@ -78,7 +78,7 @@ class PlanPiecesSpec extends AnyFunSuite {
     val rt = new MpiRuntime(2, net)
     val results = rt.run { ctx =>
       val rows = (0L until 16L).map(k => k -> ctx.rank.toLong)
-      val ex = exchangePipeline(src(rows: _*), ctx, c, Compression.none)
+      val ex = exchangePipeline(src(rows: _*), new ParamSlot(PairT), ctx, c, Compression.none)
       ex.drain().map { t =>
         val pid = t(0).asInstanceOf[Int]
         (pid, t(1).asInstanceOf[RowVec].size)
