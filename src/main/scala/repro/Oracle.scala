@@ -2,6 +2,7 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import org.duckdb.DuckDBConnection
 
 /** DuckDB correctness oracle.
   *
@@ -42,14 +43,15 @@ object Oracle {
           s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
         )
         // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+        // The appender writes rows straight into the table; a null String
+        // appends SQL NULL.
+        val app = conn.unwrap(classOf[DuckDBConnection])
+          .createAppender(DuckDBConnection.DEFAULT_SCHEMA, name)
+        try df.collect().foreach { r =>
+          app.beginRow()
+          cols.indices.foreach(i => app.append(Option(r.get(i)).map(_.toString).orNull))
+          app.endRow()
+        } finally app.close()
       }
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData

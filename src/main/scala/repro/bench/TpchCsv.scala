@@ -3,7 +3,10 @@ package repro.bench
 import java.io.File
 import java.nio.charset.StandardCharsets
 import java.nio.file.Files
+import java.util.concurrent.atomic.AtomicReference
 
+import repro.core.{Atom, ItemType}
+import repro.plans.TpchPlans
 import repro.plans.TpchPlans.TpchData
 
 /** Modularis's storage read path for Fig 9: each simulated rank reads its
@@ -24,24 +27,39 @@ object TpchCsv {
     }
   }
 
+  /** Parse `file` with `threads` threads; the first failure of any thread
+    * is rethrown once all have finished.
+    */
   private def parallelParse(file: File, threads: Int)(
       build: Array[String] => Array[Any]): Array[Array[Any]] = {
     val lines = Files.readAllLines(file.toPath, StandardCharsets.UTF_8)
     val n = lines.size
     val out = new Array[Array[Any]](n)
+    val failure = new AtomicReference[Throwable]
     val chunk = math.max(1, (n + threads - 1) / threads)
     val ts = (0 until threads).flatMap { t =>
       val from = t * chunk
       if (from >= n) None
       else {
         val until = math.min(n, from + chunk)
-        val th = new Thread(() => parseChunk(lines, from, until, out, build))
+        val th = new Thread(() =>
+          try parseChunk(lines, from, until, out, build)
+          catch { case e: Throwable => failure.compareAndSet(null, e); () })
         th.start()
         Some(th)
       }
     }
     ts.foreach(_.join())
+    Option(failure.get).foreach(e => throw e)
     out
+  }
+
+  /** The parser of one CSV field into a value of atom `a`. */
+  private def parserOf(a: ItemType): String => Any = a match {
+    case Atom.LongA   => _.toLong
+    case Atom.IntA    => _.toInt
+    case Atom.DoubleA => _.toDouble
+    case _            => identity // strings and ISO dates
   }
 
   /** Load the Fig 9 tables into [[TpchData]] tuple layouts with
@@ -50,31 +68,12 @@ object TpchCsv {
     */
   def load(t: VolcanoTpch.Tables, threads: Int,
            needed: Set[String] = Set("lineitem", "orders", "part")): TpchData = {
-    val (liF, liS) = t.li
-    val (ordF, ordS) = t.ord
-    val (pF, pS) = t.part
-
-    val li = if (!needed("lineitem")) Array.empty[Array[Any]] else {
-      val i = Seq("l_orderkey", "l_partkey", "l_quantity", "l_extendedprice",
-        "l_discount", "l_shipdate", "l_shipmode", "l_shipinstruct",
-        "l_commitdate", "l_receiptdate").map(liS.idx).toArray
-      parallelParse(liF, threads) { c =>
-        Array[Any](
-          c(i(0)).toLong, c(i(1)).toLong, c(i(2)).toDouble, c(i(3)).toDouble,
-          c(i(4)).toDouble, c(i(5)), c(i(6)), c(i(7)), c(i(8)), c(i(9)))
-      }
-    }
-    val ord = if (!needed("orders")) Array.empty[Array[Any]] else {
-      val i = Seq("o_orderkey", "o_orderpriority", "o_orderdate").map(ordS.idx).toArray
-      parallelParse(ordF, threads) { c =>
-        Array[Any](c(i(0)).toLong, c(i(1)), c(i(2)))
-      }
-    }
-    val part = if (!needed("part")) Array.empty[Array[Any]] else {
-      val i = Seq("p_partkey", "p_type", "p_size", "p_brand", "p_container").map(pS.idx).toArray
-      parallelParse(pF, threads) { c =>
-        Array[Any](c(i(0)).toLong, c(i(1)), c(i(2)).toInt, c(i(3)), c(i(4)))
-      }
+    val Seq(li, ord, part) = Seq(t.li, t.ord, t.part).zip(TpchPlans.Tables).map {
+      case (_, (name, _)) if !needed(name) => Array.empty[Array[Any]]
+      case ((file, schema), (_, layout)) =>
+        val cols = layout.fieldNames.map(schema.idx).toArray
+        val parse = layout.fields.map { case (_, a) => parserOf(a) }.toArray
+        parallelParse(file, threads)(c => Array.tabulate[Any](cols.length)(i => parse(i)(c(cols(i)))))
     }
     TpchData(li, ord, part)
   }

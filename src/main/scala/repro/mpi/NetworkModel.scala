@@ -17,9 +17,6 @@ final case class NetConfig(
 ) {
   require(ranksPerMachine >= 1)
   def machineOf(rank: Int): Int = rank / ranksPerMachine
-  def render(nRanks: Int): String =
-    s"${nRanks / ranksPerMachine} machines x $ranksPerMachine ranks, " +
-      s"${crossBytesPerSec / 1e9} GB/s cross-machine, ${msgLatencyNanos} ns/msg"
 }
 
 /** Per-rank transfer counters (single-writer: the owning rank thread). */
@@ -30,9 +27,4 @@ final class NetStats {
   var simulatedWireNanos: Long = 0
 
   def bytesTotal: Long = bytesCross + bytesLocal
-}
-
-object NetStats {
-  def totalCross(stats: Seq[NetStats]): Long = stats.map(_.bytesCross).sum
-  def totalAll(stats: Seq[NetStats]): Long   = stats.map(_.bytesTotal).sum
 }

@@ -39,6 +39,10 @@ object TpchPlans {
     "p_size" -> Atom.IntA, "p_brand" -> Atom.StringA,
     "p_container" -> Atom.StringA)
 
+  /** The base tables with their layouts, in [[TpchData]] field order. */
+  val Tables: Seq[(String, TupleType)] =
+    Seq("lineitem" -> LiT, "orders" -> OrdT, "part" -> PartT)
+
   /** Base tables as driver-side tuple arrays (collected once, reusable). */
   final case class TpchData(
       lineitem: Array[Array[Any]],
@@ -47,38 +51,40 @@ object TpchPlans {
   )
 
   object TpchData {
-    private def d(x: Any): String = x.toString // java.sql.Date → ISO string
-
-    def fromTables(tables: Map[String, DataFrame]): TpchData = TpchData(
-      lineitem = tables("lineitem").collect().map { r =>
-        Array[Any](
-          r.getAs[Long]("l_orderkey"), r.getAs[Long]("l_partkey"),
-          r.getAs[Double]("l_quantity"), r.getAs[Double]("l_extendedprice"),
-          r.getAs[Double]("l_discount"), d(r.getAs[Any]("l_shipdate")),
-          r.getAs[String]("l_shipmode"), r.getAs[String]("l_shipinstruct"),
-          d(r.getAs[Any]("l_commitdate")), d(r.getAs[Any]("l_receiptdate")))
-      },
-      orders = tables("orders").collect().map { r =>
-        Array[Any](
-          r.getAs[Long]("o_orderkey"), r.getAs[String]("o_orderpriority"),
-          d(r.getAs[Any]("o_orderdate")))
-      },
-      part = tables("part").collect().map { r =>
-        Array[Any](
-          r.getAs[Long]("p_partkey"), r.getAs[String]("p_type"),
-          r.getAs[Int]("p_size"), r.getAs[String]("p_brand"),
-          r.getAs[String]("p_container"))
-      },
-    )
+    /** Each table's rows in its layout; string fields take the value's
+      * `toString`, which turns a `java.sql.Date` into its ISO string.
+      */
+    def fromTables(tables: Map[String, DataFrame]): TpchData = {
+      val Seq(li, ord, part) = Tables.map { case (name, layout) =>
+        tables(name).collect().map { r =>
+          layout.fields.map {
+            case (col, Atom.StringA) => r.getAs[Any](col).toString
+            case (col, _)            => r.getAs[Any](col)
+          }.toArray
+        }
+      }
+      TpchData(li, ord, part)
+    }
   }
 
   /** One executed query: driver-level result tuples + the executor (for
-    * per-rank stats) + the result column names.
+    * per-rank stats).
     */
-  final case class QueryRun(rows: Seq[Array[Any]], cols: Seq[String], exec: MpiExecutor)
+  final case class QueryRun(rows: Seq[Array[Any]], exec: MpiExecutor)
 
-  private def mapTo(up: SubOp, outT: TupleType)(f: Array[Any] => Array[Any]): SubOp =
-    new MapOp(up, f, outT)
+  /** Shard both tables (rows, layout) over the ranks, run the distributed
+    * join of `spec` (Fig 3) and apply `spec.levelAgg` once more at the driver.
+    */
+  private def joinQuery(
+      r: (Array[Array[Any]], TupleType),
+      s: (Array[Array[Any]], TupleType),
+      spec: JoinSpec,
+  ): QueryRun = {
+    val n = spec.cfg.nRanks
+    val (stream, exec) = RadixJoinPlan.driver(
+      Workloads.shard(r._1, n), Workloads.shard(s._1, n), r._2, s._2, spec)
+    QueryRun(spec.levelAgg(stream).drain().toSeq, exec)
+  }
 
   private val sumPairLong: (Array[Any], Array[Any]) => Array[Any] =
     (a, b) => Array[Any](
@@ -98,29 +104,25 @@ object TpchPlans {
   def q4(data: TpchData, cfg: DistConfig): QueryRun = {
     val liKeyT = TupleType.of("k" -> Atom.LongA)
     val preLi: SubOp => SubOp = up =>
-      mapTo(new FilterOp(up, t =>
-        t(8).asInstanceOf[String] < t(9).asInstanceOf[String]), liKeyT)(
-        t => Array[Any](t(0)))
+      new MapOp(new FilterOp(up, t =>
+        t(8).asInstanceOf[String] < t(9).asInstanceOf[String]),
+        t => Array[Any](t(0)), liKeyT)
     val ordKeyT = TupleType.of("k" -> Atom.LongA, "pri" -> Atom.StringA)
     val preOrd: SubOp => SubOp = up =>
-      mapTo(new FilterOp(up, { t =>
+      new MapOp(new FilterOp(up, { t =>
         val dte = t(2).asInstanceOf[String]
         dte >= "1993-07-01" && dte < "1993-10-01"
-      }), ordKeyT)(t => Array[Any](t(0), t(1)))
+      }), t => Array[Any](t(0), t(1)), ordKeyT)
 
     val aggT = TupleType.of("pri" -> Atom.StringA, "order_count" -> Atom.LongA)
-    val post: SubOp => SubOp = up => mapTo(up, aggT)(t => Array[Any](t(1), 1L))
+    val post: SubOp => SubOp = up => new MapOp(up, t => Array[Any](t(1), 1L), aggT)
     val agg: SubOp => SubOp = up => new ReduceByKey(up, "pri",
       (a, b) => Array[Any](a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long]))
 
     val spec = JoinSpec(cfg, kind = JoinKind.Semi,
       preR = preLi, preS = preOrd, postJoin = post, levelAgg = agg)
-    val (stream, exec) = RadixJoinPlan.driver(
-      Workloads.shard(data.lineitem, cfg.nRanks), Workloads.shard(data.orders, cfg.nRanks),
-      LiT, OrdT, spec)
-    val merged = agg(stream)
-    val rows = merged.drain().sortBy(_(0).asInstanceOf[String])
-    QueryRun(rows.toSeq, Seq("o_orderpriority", "order_count"), exec)
+    val run = joinQuery(data.lineitem -> LiT, data.orders -> OrdT, spec)
+    run.copy(rows = run.rows.sortBy(_(0).asInstanceOf[String]))
   }
 
   def q4DuckSql: String =
@@ -140,10 +142,10 @@ object TpchPlans {
   def q12(data: TpchData, cfg: DistConfig): QueryRun = {
     val ordKeyT = TupleType.of("k" -> Atom.LongA, "pri" -> Atom.StringA)
     val preOrd: SubOp => SubOp = up =>
-      mapTo(up, ordKeyT)(t => Array[Any](t(0), t(1)))
+      new MapOp(up, t => Array[Any](t(0), t(1)), ordKeyT)
     val liKeyT = TupleType.of("k" -> Atom.LongA, "mode" -> Atom.StringA)
     val preLi: SubOp => SubOp = up =>
-      mapTo(new FilterOp(up, { t =>
+      new MapOp(new FilterOp(up, { t =>
         val mode = t(6).asInstanceOf[String]
         val ship = t(5).asInstanceOf[String]
         val commit = t(8).asInstanceOf[String]
@@ -151,24 +153,21 @@ object TpchPlans {
         (mode == "MAIL" || mode == "SHIP") &&
           commit < receipt && ship < commit &&
           receipt >= "1994-01-01" && receipt < "1995-01-01"
-      }), liKeyT)(t => Array[Any](t(0), t(6)))
+      }), t => Array[Any](t(0), t(6)), liKeyT)
 
     val aggT = TupleType.of("mode" -> Atom.StringA,
       "high_line_count" -> Atom.LongA, "low_line_count" -> Atom.LongA)
-    val post: SubOp => SubOp = up => mapTo(up, aggT) { t =>
+    val post: SubOp => SubOp = up => new MapOp(up, { t =>
       val pri = t(1).asInstanceOf[String]
       val high = if (pri == "1-URGENT" || pri == "2-HIGH") 1L else 0L
       Array[Any](t(2), high, 1L - high)
-    }
+    }, aggT)
     val agg: SubOp => SubOp = up => new ReduceByKey(up, "mode", sumPairLong)
 
     val spec = JoinSpec(cfg, preR = preOrd, preS = preLi,
       postJoin = post, levelAgg = agg)
-    val (stream, exec) = RadixJoinPlan.driver(
-      Workloads.shard(data.orders, cfg.nRanks), Workloads.shard(data.lineitem, cfg.nRanks),
-      OrdT, LiT, spec)
-    val rows = agg(stream).drain().sortBy(_(0).asInstanceOf[String])
-    QueryRun(rows.toSeq, Seq("l_shipmode", "high_line_count", "low_line_count"), exec)
+    val run = joinQuery(data.orders -> OrdT, data.lineitem -> LiT, spec)
+    run.copy(rows = run.rows.sortBy(_(0).asInstanceOf[String]))
   }
 
   def q12DuckSql: String =
@@ -192,38 +191,30 @@ object TpchPlans {
   def q14(data: TpchData, cfg: DistConfig): QueryRun = {
     val partKeyT = TupleType.of("k" -> Atom.LongA, "ptype" -> Atom.StringA)
     val prePart: SubOp => SubOp = up =>
-      mapTo(up, partKeyT)(t => Array[Any](t(0), t(1)))
+      new MapOp(up, t => Array[Any](t(0), t(1)), partKeyT)
     val liKeyT = TupleType.of("k" -> Atom.LongA, "rev" -> Atom.DoubleA)
     val preLi: SubOp => SubOp = up =>
-      mapTo(new FilterOp(up, { t =>
+      new MapOp(new FilterOp(up, { t =>
         val ship = t(5).asInstanceOf[String]
         ship >= "1995-09-01" && ship < "1995-10-01"
-      }), liKeyT)(t => Array[Any](
+      }), t => Array[Any](
         t(1),
-        t(3).asInstanceOf[Double] * (1.0 - t(4).asInstanceOf[Double])))
+        t(3).asInstanceOf[Double] * (1.0 - t(4).asInstanceOf[Double])), liKeyT)
 
     val aggT = TupleType.of("promo" -> Atom.DoubleA, "total" -> Atom.DoubleA)
-    val post: SubOp => SubOp = up => mapTo(up, aggT) { t =>
+    val post: SubOp => SubOp = up => new MapOp(up, { t =>
       val rev = t(2).asInstanceOf[Double]
       val promo = if (t(1).asInstanceOf[String].startsWith("PROMO")) rev else 0.0
       Array[Any](promo, rev)
-    }
+    }, aggT)
     val agg: SubOp => SubOp = up => new Reduce(up, sumPairDouble)
 
     val spec = JoinSpec(cfg, preR = prePart, preS = preLi,
       postJoin = post, levelAgg = agg)
-    val (stream, exec) = RadixJoinPlan.driver(
-      Workloads.shard(data.part, cfg.nRanks), Workloads.shard(data.lineitem, cfg.nRanks),
-      PartT, LiT, spec)
-    val out = agg(stream).drain()
-    val rows =
-      if (out.isEmpty) Seq(Array[Any](null))
-      else {
-        val promo = out(0)(0).asInstanceOf[Double]
-        val total = out(0)(1).asInstanceOf[Double]
-        Seq(Array[Any](100.0 * promo / total))
-      }
-    QueryRun(rows, Seq("promo_revenue"), exec)
+    val run = joinQuery(data.part -> PartT, data.lineitem -> LiT, spec)
+    run.copy(rows = Seq(run.rows.headOption.fold(Array[Any](null)) { t =>
+      Array[Any](100.0 * t(0).asInstanceOf[Double] / t(1).asInstanceOf[Double])
+    }))
   }
 
   def q14DuckSql: String =
@@ -249,25 +240,25 @@ object TpchPlans {
     val medC = Set("MED BAG", "MED BOX", "MED PKG", "MED PACK")
     val lgC = Set("LG CASE", "LG BOX", "LG PACK", "LG PKG")
     val prePart: SubOp => SubOp = up =>
-      mapTo(new FilterOp(up, { t =>
+      new MapOp(new FilterOp(up, { t =>
         val brand = t(3).asInstanceOf[String]
         val size  = t(2).asInstanceOf[Int]
         (brand == "Brand#12" || brand == "Brand#23" || brand == "Brand#34") &&
           size >= 1 && size <= 15
-      }), partKeyT)(t => Array[Any](t(0), t(3), t(4), t(2)))
+      }), t => Array[Any](t(0), t(3), t(4), t(2)), partKeyT)
 
     val liKeyT = TupleType.of("k" -> Atom.LongA, "qty" -> Atom.DoubleA,
       "rev" -> Atom.DoubleA)
     val preLi: SubOp => SubOp = up =>
-      mapTo(new FilterOp(up, { t =>
+      new MapOp(new FilterOp(up, { t =>
         val mode = t(6).asInstanceOf[String]
         val qty  = t(2).asInstanceOf[Double]
         (mode == "AIR" || mode == "REG AIR") &&
           t(7).asInstanceOf[String] == "DELIVER IN PERSON" &&
           qty >= 1 && qty <= 30
-      }), liKeyT)(t => Array[Any](
+      }), t => Array[Any](
         t(1), t(2),
-        t(3).asInstanceOf[Double] * (1.0 - t(4).asInstanceOf[Double])))
+        t(3).asInstanceOf[Double] * (1.0 - t(4).asInstanceOf[Double])), liKeyT)
 
     // joined: ⟨k, brand, container, size, qty, rev⟩
     val residual: Array[Any] => Boolean = { t =>
@@ -281,20 +272,14 @@ object TpchPlans {
     }
     val revT = TupleType.of("revenue" -> Atom.DoubleA)
     val post: SubOp => SubOp = up =>
-      mapTo(new FilterOp(up, residual), revT)(t => Array[Any](t(5)))
+      new MapOp(new FilterOp(up, residual), t => Array[Any](t(5)), revT)
     val agg: SubOp => SubOp = up => new Reduce(up,
       (a, b) => Array[Any](a(0).asInstanceOf[Double] + b(0).asInstanceOf[Double]))
 
     val spec = JoinSpec(cfg, preR = prePart, preS = preLi,
       postJoin = post, levelAgg = agg)
-    val (stream, exec) = RadixJoinPlan.driver(
-      Workloads.shard(data.part, cfg.nRanks), Workloads.shard(data.lineitem, cfg.nRanks),
-      PartT, LiT, spec)
-    val out = agg(stream).drain()
-    val rows =
-      if (out.isEmpty) Seq(Array[Any](null))
-      else Seq(Array[Any](out(0)(0).asInstanceOf[Double]))
-    QueryRun(rows, Seq("revenue"), exec)
+    val run = joinQuery(data.part -> PartT, data.lineitem -> LiT, spec)
+    if (run.rows.isEmpty) run.copy(rows = Seq(Array[Any](null))) else run
   }
 
   def q19DuckSql: String =

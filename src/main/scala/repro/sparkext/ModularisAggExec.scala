@@ -3,14 +3,14 @@ package repro.sparkext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{
-  Alias, Attribute, AttributeReference, BindReferences, Expression, Literal,
-  NamedExpression, UnsafeProjection}
+  Alias, Attribute, AttributeReference, BindReferences, Cast, Expression,
+  GenericInternalRow, If, IsNull, Literal, NamedExpression, UnsafeProjection}
 import org.apache.spark.sql.catalyst.expressions.aggregate.{
   AggregateExpression, Count, Sum}
 import org.apache.spark.sql.catalyst.plans.physical.{
   AllTuples, ClusteredDistribution, Distribution}
 import org.apache.spark.sql.execution.{SparkPlan, UnaryExecNode}
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.types.DoubleType
 
 import repro.core._
 
@@ -38,83 +38,53 @@ case class ModularisAggExec(
   override protected def withNewChildInternal(newChild: SparkPlan): SparkPlan =
     copy(child = newChild)
 
-  /** The aggregate functions in result order (None = grouping column). */
+  /** Each result column in order: Left(i) = grouping column i, Right = an aggregate. */
   private lazy val plan: Seq[Either[Int, AggregateExpression]] = resultExprs.map {
-    case ar: AttributeReference =>
-      Left(groupingExprs.indexWhere(_.exprId == ar.exprId))
     case Alias(ae: AggregateExpression, _) => Right(ae)
-    case Alias(ar: AttributeReference, _) =>
-      Left(groupingExprs.indexWhere(_.exprId == ar.exprId))
-    case other =>
-      throw new IllegalStateException(s"unsupported result expression $other")
+    case ar: AttributeReference            => Left(groupingExprs.indexWhere(_.exprId == ar.exprId))
+    case Alias(ar: AttributeReference, _)  => Left(groupingExprs.indexWhere(_.exprId == ar.exprId))
+    case other => throw new IllegalStateException(s"unsupported result expression $other")
   }
 
   override protected def doExecute(): RDD[InternalRow] = {
     val boundGroup = groupingExprs.map(BindReferences.bindReference(_: Expression, child.output))
     val aggs: Seq[AggregateExpression] = plan.collect { case Right(ae) => ae }
-    val boundAggChildren: Seq[Option[Expression]] = aggs.map(_.aggregateFunction match {
-      case Sum(e, _)                    => Some(BindReferences.bindReference(e, child.output))
-      case Count(Seq(Literal(_, _)))    => None
-      case Count(Seq(e))                => Some(BindReferences.bindReference(e, child.output))
-      case f => throw new IllegalStateException(s"unsupported aggregate $f")
-    })
-    val aggKinds: Seq[(Boolean, DataType)] = aggs.map { ae =>
-      (ae.aggregateFunction.isInstanceOf[Sum], ae.dataType)
-    }
+    // Each aggregate's per-row contribution, already in its result type, so
+    // that combining is one add: SUM(e) is e cast to the sum's type, COUNT(e)
+    // is 1 for a non-null e and 0 otherwise (always 1 for COUNT(*)).
+    val contributions: Array[Expression] = aggs.map { ae =>
+      val c = ae.aggregateFunction match {
+        case Sum(e, _)     => Cast(e, ae.dataType)
+        case Count(Seq(e)) => If(IsNull(e), Literal(0L), Literal(1L))
+        case f => throw new IllegalStateException(s"unsupported aggregate $f")
+      }
+      BindReferences.bindReference(c, child.output)
+    }.toArray
+    val isDouble = aggs.map(_.dataType == DoubleType).toArray
+    // SQL's result over no rows: NULL for SUM, 0 for COUNT.
+    val emptyAccs: Array[Any] = aggs.map(_.aggregateFunction.defaultResult.map(_.value).orNull).toArray
     val outTypes = output.map(_.dataType).toArray
     val resultPlan = plan
     val groupless = groupingExprs.isEmpty
+    val nAggs = aggs.size
 
     child.execute().mapPartitions { it =>
       // Tuple layout: ⟨g (composite key), a0..aM (accumulators)⟩ — ReduceByKey
       // (the unchanged core sub-operator) does the actual aggregation.
       val elemT = TupleType(
         ("g" -> (Atom("group"): ItemType)) +:
-          aggs.indices.map(i => s"a$i" -> (Atom("acc"): ItemType)).toVector)
+          (0 until nAggs).map(i => s"a$i" -> (Atom("acc"): ItemType)).toVector)
 
-      def init(row: InternalRow): Array[Any] = {
-        val t = new Array[Any](1 + aggs.size)
-        t(0) =
-          if (groupless) 0L
-          else boundGroup.map(_.eval(row)).toVector
-        var i = 0
-        while (i < aggs.size) {
-          val (isSum, dt) = aggKinds(i)
-          t(i + 1) =
-            if (isSum) boundAggChildren(i).map(_.eval(row)).orNull
-            else boundAggChildren(i) match {
-              case None    => 1L                                  // count(*)
-              case Some(e) => if (e.eval(row) == null) 0L else 1L // count(x)
-            }
-          i += 1
-        }
-        t
-      }
+      def init(row: InternalRow): Array[Any] =
+        (if (groupless) 0L else boundGroup.map(_.eval(row)).toVector) +:
+          contributions.map(_.eval(row))
 
-      def combine(a: Array[Any], b: Array[Any]): Array[Any] = {
-        val out = new Array[Any](aggs.size)
-        var i = 0
-        while (i < aggs.size) {
-          val (isSum, dt) = aggKinds(i)
-          out(i) =
-            if (!isSum) a(i).asInstanceOf[Long] + b(i).asInstanceOf[Long]
-            else (a(i), b(i)) match {
-              case (null, y) => y
-              case (x, null) => x
-              case (x, y) => dt match {
-                case DoubleType => x.asInstanceOf[Double] + y.asInstanceOf[Double]
-                case LongType =>
-                  def l(v: Any): Long = v match {
-                    case i: java.lang.Integer => i.longValue
-                    case l: java.lang.Long    => l.longValue
-                  }
-                  l(x) + l(y)
-                case other => throw new IllegalStateException(s"sum over $other")
-              }
-            }
-          i += 1
-        }
-        out
+      // Null-skipping add of the key-stripped accumulator tuples.
+      def combine(a: Array[Any], b: Array[Any]): Array[Any] = Array.tabulate[Any](nAggs) { i =>
+        if (a(i) == null) b(i)
+        else if (b(i) == null) a(i)
+        else if (isDouble(i)) a(i).asInstanceOf[Double] + b(i).asInstanceOf[Double]
+        else a(i).asInstanceOf[Long] + b(i).asInstanceOf[Long]
       }
 
       val copied = it.map(r => init(r.copy()))
@@ -124,38 +94,18 @@ case class ModularisAggExec(
 
       def emit(t: Array[Any]): InternalRow = {
         val groupVals = if (groupless) Vector.empty else t(0).asInstanceOf[Vector[Any]]
-        val vals = new Array[Any](resultPlan.size)
         var ai = 0
-        var i = 0
-        resultPlan.foreach {
-          case Left(g) => vals(i) = groupVals(g); i += 1
-          case Right(_) =>
-            // widen int sums to the declared result type
-            val (isSum, dt) = aggKinds(ai)
-            val v = t(1 + ai)
-            vals(i) = (v, dt) match {
-              case (x: java.lang.Integer, LongType) => x.longValue
-              case _                                => v
-            }
-            ai += 1; i += 1
+        val vals = resultPlan.map {
+          case Left(g)  => groupVals(g)
+          case Right(_) => ai += 1; t(ai)
         }
-        toUnsafe(new org.apache.spark.sql.catalyst.expressions.GenericInternalRow(vals))
+        toUnsafe(new GenericInternalRow(vals.toArray))
       }
 
       val grouped = RowCodec.iterate(rbk).map(emit)
-      if (groupless) {
-        // SQL semantics: aggregates over an empty input produce one row.
-        val buffered = grouped.toVector
-        if (buffered.nonEmpty) buffered.iterator
-        else {
-          val vals: Array[Any] = aggKinds.map {
-            case (true, _)  => null // empty SUM is NULL
-            case (false, _) => 0L   // empty COUNT is 0
-          }.toArray
-          Iterator.single(toUnsafe(
-            new org.apache.spark.sql.catalyst.expressions.GenericInternalRow(vals)))
-        }
-      } else grouped
+      // SQL semantics: aggregates over an empty input produce one row.
+      if (groupless && !grouped.hasNext) Iterator.single(emit(0L +: emptyAccs))
+      else grouped
     }
   }
 }

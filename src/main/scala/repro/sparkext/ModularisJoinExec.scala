@@ -3,11 +3,10 @@ package repro.sparkext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{
-  Attribute, BindReferences, Expression, UnsafeProjection}
+  Attribute, BindReferences, Expression, JoinedRow, UnsafeProjection}
 import org.apache.spark.sql.catalyst.plans.{Inner, JoinType, LeftAnti, LeftSemi}
 import org.apache.spark.sql.catalyst.plans.physical.{ClusteredDistribution, Distribution}
 import org.apache.spark.sql.execution.{BinaryExecNode, SparkPlan}
-import org.apache.spark.sql.types.DataType
 
 import repro.core._
 
@@ -43,43 +42,27 @@ case class ModularisJoinExec(
     copy(left = newLeft, right = newRight)
 
   override protected def doExecute(): RDD[InternalRow] = {
-    val lTypes = left.output.map(_.dataType).toArray
-    val rTypes = right.output.map(_.dataType).toArray
     val lBoundKeys = leftKeys.map(BindReferences.bindReference(_, left.output))
     val rBoundKeys = rightKeys.map(BindReferences.bindReference(_, right.output))
     val nKeys = leftKeys.size
     val outTypes = output.map(_.dataType).toArray
     val jt = joinType
+    // Tuple layout per side: ⟨k0..kJ, row⟩ — the evaluated join keys (they
+    // may be expressions over columns), then the whole copied row as one
+    // atom; `lrow`/`rrow` keep BuildProbe's field names distinct.
+    val keyT = TupleType(leftKeys.zipWithIndex.map { case (e, i) =>
+      s"k$i" -> (RowCodec.atomOf(e.dataType): ItemType) }.toVector)
 
     left.execute().zipPartitions(right.execute()) { (lIter, rIter) =>
-      // Tuple layout per side: ⟨k0..kJ, c0..cN⟩ (synthetic key fields first,
-      // then all columns — join keys may be expressions over columns).
-      val keyAtoms  = leftKeys.zipWithIndex
-        .map { case (e, i) => s"k$i" -> (RowCodec.atomOf(e.dataType): ItemType) }.toVector
-      val lType = TupleType(keyAtoms ++
-        left.output.zipWithIndex.map { case (a, i) =>
-          s"l$i" -> (RowCodec.atomOf(a.dataType): ItemType) }.toVector)
-      val rType = TupleType(keyAtoms ++
-        right.output.zipWithIndex.map { case (a, i) =>
-          s"r$i" -> (RowCodec.atomOf(a.dataType): ItemType) }.toVector)
+      def side(it: Iterator[InternalRow], keys: Seq[Expression], field: String): SubOp =
+        new IterSource(() => it.map { raw =>
+          val r = raw.copy() // shuffle iterators reuse their row buffers
+          (keys.map(_.eval(r)) :+ r).toArray[Any]
+        }, keyT ++ TupleType.of(field -> Atom("row")))
 
-      def tuples(
-          it: Iterator[InternalRow],
-          keys: Seq[Expression],
-          types: Array[DataType],
-      ): Iterator[Array[Any]] = it.map { raw =>
-        val row = raw.copy()
-        val t = new Array[Any](nKeys + types.length)
-        var i = 0
-        keys.foreach { k => t(i) = k.eval(row); i += 1 }
-        val cols = RowCodec.toTuple(row, types)
-        System.arraycopy(cols, 0, t, nKeys, cols.length)
-        t
-      }
-
-      val lSrc = new IterSource(() => tuples(lIter, lBoundKeys, lTypes), lType)
-      val rSrc = new IterSource(() => tuples(rIter, rBoundKeys, rTypes), rType)
-      val attrs = (0 until nKeys).map(i => s"k$i")
+      val lSrc = side(lIter, lBoundKeys, "lrow")
+      val rSrc = side(rIter, rBoundKeys, "rrow")
+      val attrs = keyT.fieldNames
 
       // LeftSemi/LeftAnti preserve the LEFT side: the left is the probe and
       // the right the build, mirroring the BuildProbe variants of §5.1.1.
@@ -91,15 +74,12 @@ case class ModularisJoinExec(
       }
 
       val toUnsafe = UnsafeProjection.create(outTypes)
+      def row(t: Array[Any], i: Int) = t(nKeys + i).asInstanceOf[InternalRow]
       jt match {
-        case Inner =>
-          // BuildProbe output: ⟨k*, lcols*, rcols*⟩ → project off the keys.
-          RowCodec.iterate(bp).map { t =>
-            toUnsafe(RowCodec.toRow(t, nKeys, lTypes.length + rTypes.length))
-          }
-        case _ =>
-          // Semi/Anti output: the probe (left) tuple ⟨k*, lcols*⟩.
-          RowCodec.iterate(bp).map(t => toUnsafe(RowCodec.toRow(t, nKeys, lTypes.length)))
+        // BuildProbe output: ⟨k*, lrow, rrow⟩.
+        case Inner => RowCodec.iterate(bp).map(t => toUnsafe(new JoinedRow(row(t, 0), row(t, 1))))
+        // Semi/Anti output: the probe (left) tuple ⟨k*, lrow⟩.
+        case _     => RowCodec.iterate(bp).map(t => toUnsafe(row(t, 0)))
       }
     }
   }

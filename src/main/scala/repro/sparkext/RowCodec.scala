@@ -1,15 +1,13 @@
 package repro.sparkext
 
-import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.types._
 
 import repro.core._
 
-/** Converts between Catalyst [[InternalRow]]s and sub-operator tuples
-  * (`Array[Any]` of Catalyst-native values: Long, Int, Double, UTF8String,
-  * date-as-int, ...). Callers must hand in *copied* rows (shuffle iterators
-  * reuse UnsafeRow buffers).
+/** What the Spark port needs to run sub-operators over Catalyst values:
+  * the atom of each Catalyst type, and a Scala iterator over a
+  * sub-operator's output. Tuples carry Catalyst-native values (Long, Int,
+  * Double, UTF8String, date-as-int, whole rows, ...).
   */
 object RowCodec {
 
@@ -24,27 +22,6 @@ object RowCodec {
     case BooleanType => Atom.BoolA
     case DateType    => Atom.DateA
     case other       => Atom(other.simpleString)
-  }
-
-  def tupleTypeOf(schema: StructType, names: Seq[String]): TupleType =
-    TupleType(names.toVector.zip(schema.fields.map(f => atomOf(f.dataType): ItemType).toVector))
-
-  /** Extract a row into a fresh positional tuple. */
-  def toTuple(row: InternalRow, types: Array[DataType]): Array[Any] = {
-    val out = new Array[Any](types.length)
-    var i = 0
-    while (i < types.length) {
-      out(i) = if (row.isNullAt(i)) null else row.get(i, types(i))
-      i += 1
-    }
-    out
-  }
-
-  /** Wrap tuple values back into an InternalRow (Catalyst-native values). */
-  def toRow(tuple: Array[Any], from: Int, len: Int): InternalRow = {
-    val vals = new Array[Any](len)
-    System.arraycopy(tuple, from, vals, 0, len)
-    new GenericInternalRow(vals)
   }
 
   /** Adapt a sub-operator to a Scala iterator (open on first hasNext). */

@@ -87,6 +87,20 @@ class ModularisExecSpec extends SparkSpec {
     }
   }
 
+  test("grouped int sum and nullable count/sum match DuckDB") {
+    withStrategy {
+      // i: an int column; n: null for every third key
+      val t3 = t1.select(col("k"), (col("k") % 7).cast("int") as "i",
+        when(col("k") % 3 =!= 0, col("k")) as "n")
+      val df = t3.groupBy("k").agg(sum("i") as "si", count("n") as "cn", sum("n") as "sn")
+      assert(df.queryExecution.executedPlan.toString.contains("ModularisAgg"))
+      Oracle.assertEquivalent(df,
+        "SELECT k, sum(CAST(i AS INT)) AS si, count(n) AS cn, " +
+        "sum(CAST(n AS BIGINT)) AS sn FROM t3 GROUP BY k",
+        "t3" -> t3)
+    }
+  }
+
   test("groupless aggregation matches DuckDB") {
     withStrategy {
       val df = t1.agg(sum("v") as "sv", count(lit(1)) as "c")

@@ -1,8 +1,6 @@
 package repro.sparkext
 
-import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.types._
-import org.apache.spark.unsafe.types.UTF8String
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core._
@@ -16,29 +14,6 @@ class RowCodecSpec extends AnyFunSuite {
     assert(RowCodec.atomOf(StringType) == Atom.StringA)
     assert(RowCodec.atomOf(DateType) == Atom.DateA)
     assert(RowCodec.atomOf(BooleanType) == Atom.BoolA)
-  }
-
-  test("tupleTypeOf builds named tuple types from struct schemas") {
-    val st = StructType(Seq(
-      StructField("a", LongType), StructField("b", StringType)))
-    val tt = RowCodec.tupleTypeOf(st, Seq("x", "y"))
-    assert(tt.fieldNames == Vector("x", "y"))
-    assert(tt.typeOf("x") == Atom.LongA)
-  }
-
-  test("toTuple extracts values and preserves nulls") {
-    val row = new GenericInternalRow(Array[Any](7L, UTF8String.fromString("hi"), null))
-    val t = RowCodec.toTuple(row, Array(LongType, StringType, DoubleType))
-    assert(t(0) == 7L)
-    assert(t(1).toString == "hi")
-    assert(t(2) == null)
-  }
-
-  test("toRow slices a tuple window into an InternalRow") {
-    val t = Array[Any](1L, 2L, 3L, 4L)
-    val r = RowCodec.toRow(t, 1, 2)
-    assert(r.numFields == 2)
-    assert(r.getLong(0) == 2L && r.getLong(1) == 3L)
   }
 
   test("iterate adapts a sub-operator lazily") {

@@ -2,10 +2,12 @@ package repro.sparkext
 
 import repro.{Oracle, SparkSpec}
 import repro.data.TpchLite
+import repro.plans.TpchPlans
 
-/** The paper's TPC-H queries executed as SQL on Spark with the Modularis
-  * strategy injected — the join (incl. the Q4 EXISTS→semi-join rewrite)
-  * runs on ModularisJoinExec; results oracle-checked against DuckDB.
+/** The paper's TPC-H queries (the SQL of [[TpchPlans.All]]) executed on
+  * Spark with the Modularis strategy injected — the join (incl. the Q4
+  * EXISTS→semi-join rewrite) runs on ModularisJoinExec; results
+  * oracle-checked against DuckDB running the same SQL.
   */
 class TpchOnSparkSpec extends SparkSpec {
   private val sf = 0.005
@@ -31,76 +33,20 @@ class TpchOnSparkSpec extends SparkSpec {
     "orders"   -> tables("orders"),
     "part"     -> tables("part"))
 
-  test("Q4 via Spark SQL uses ModularisJoinExec for the EXISTS semi-join") {
-    withStrategy {
-      val sql =
-        """SELECT o_orderpriority, count(*) AS order_count
-          |FROM orders
-          |WHERE o_orderdate >= '1993-07-01' AND o_orderdate < '1993-10-01'
-          |  AND EXISTS (SELECT 1 FROM lineitem
-          |              WHERE l_orderkey = o_orderkey
-          |                AND l_commitdate < l_receiptdate)
-          |GROUP BY o_orderpriority""".stripMargin
-      val df = spark.sql(sql)
-      assert(df.queryExecution.executedPlan.toString.contains("ModularisJoin"))
-      Oracle.assertEquivalent(df, repro.plans.TpchPlans.q4DuckSql, oracleTables: _*)
-    }
-  }
+  // Q19's join condition carries a two-sided OR, which the strategy does not
+  // claim, so Q19 runs on Spark's own join and gets no plan assertion.
+  private val onModularisJoin = Set("Q4", "Q12", "Q14")
+  private val names =
+    Map("Q4" -> "Q4 via Spark SQL uses ModularisJoinExec for the EXISTS semi-join")
 
-  test("Q12 via Spark SQL matches DuckDB") {
-    withStrategy {
-      val sql =
-        """SELECT l_shipmode,
-          |  sum(CASE WHEN o_orderpriority IN ('1-URGENT','2-HIGH') THEN 1 ELSE 0 END)
-          |    AS high_line_count,
-          |  sum(CASE WHEN o_orderpriority NOT IN ('1-URGENT','2-HIGH') THEN 1 ELSE 0 END)
-          |    AS low_line_count
-          |FROM orders JOIN lineitem ON o_orderkey = l_orderkey
-          |WHERE l_shipmode IN ('MAIL','SHIP')
-          |  AND l_commitdate < l_receiptdate AND l_shipdate < l_commitdate
-          |  AND l_receiptdate >= '1994-01-01' AND l_receiptdate < '1995-01-01'
-          |GROUP BY l_shipmode""".stripMargin
-      val df = spark.sql(sql)
-      assert(df.queryExecution.executedPlan.toString.contains("ModularisJoin"))
-      Oracle.assertEquivalent(df, repro.plans.TpchPlans.q12DuckSql, oracleTables: _*)
-    }
-  }
-
-  test("Q14 via Spark SQL matches DuckDB") {
-    withStrategy {
-      val sql =
-        """SELECT 100.00 * sum(CASE WHEN p_type LIKE 'PROMO%'
-          |    THEN l_extendedprice * (1 - l_discount) ELSE 0 END)
-          |  / sum(l_extendedprice * (1 - l_discount)) AS promo_revenue
-          |FROM lineitem, part
-          |WHERE l_partkey = p_partkey
-          |  AND l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'""".stripMargin
-      val df = spark.sql(sql)
-      assert(df.queryExecution.executedPlan.toString.contains("ModularisJoin"))
-      Oracle.assertEquivalent(df, repro.plans.TpchPlans.q14DuckSql, oracleTables: _*)
-    }
-  }
-
-  test("Q19 via Spark SQL matches DuckDB") {
-    withStrategy {
-      val sql =
-        """SELECT sum(l_extendedprice * (1 - l_discount)) AS revenue
-          |FROM lineitem, part
-          |WHERE p_partkey = l_partkey
-          |  AND l_shipmode IN ('AIR','REG AIR')
-          |  AND l_shipinstruct = 'DELIVER IN PERSON'
-          |  AND (
-          |    (p_brand = 'Brand#12'
-          |      AND p_container IN ('SM CASE','SM BOX','SM PACK','SM PKG')
-          |      AND l_quantity BETWEEN 1 AND 11 AND p_size BETWEEN 1 AND 5)
-          |    OR (p_brand = 'Brand#23'
-          |      AND p_container IN ('MED BAG','MED BOX','MED PKG','MED PACK')
-          |      AND l_quantity BETWEEN 10 AND 20 AND p_size BETWEEN 1 AND 10)
-          |    OR (p_brand = 'Brand#34'
-          |      AND p_container IN ('LG CASE','LG BOX','LG PACK','LG PKG')
-          |      AND l_quantity BETWEEN 20 AND 30 AND p_size BETWEEN 1 AND 15))""".stripMargin
-      val df = spark.sql(sql)
-      Oracle.assertEquivalent(df, repro.plans.TpchPlans.q19DuckSql, oracleTables: _*)
+  TpchPlans.All.foreach { case (q, _, sql) =>
+    test(names.getOrElse(q, s"$q via Spark SQL matches DuckDB")) {
+      withStrategy {
+        val df = spark.sql(sql)
+        if (onModularisJoin(q))
+          assert(df.queryExecution.executedPlan.toString.contains("ModularisJoin"))
+        Oracle.assertEquivalent(df, sql, oracleTables: _*)
+      }
     }
   }
 }
