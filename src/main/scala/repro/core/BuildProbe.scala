@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
+import scala.util.hashing.byteswap32
 
 /** Join variants. The paper's extensibility claim (§5.1.1) is that new join
   * types only require modifying this one 103-SLOC operator — we implement
@@ -48,31 +49,73 @@ final class BuildProbe(
         pType.without(joinAttrs.toSet)
   }
 
-  private var table: mutable.HashMap[Any, mutable.ArrayBuffer[Array[Any]]] = _
+  // Bucket-chained hash table over the build rows (the layout of Balkesen et
+  // al., ICDE 2013): row i sits in rows(i) with its key hash in hashes(i);
+  // bucket b's chain starts at head(b) and continues through chain(i), -1
+  // ending it. Chains run in build order, so matches come out in that order.
+  private var rows: mutable.ArrayBuffer[Array[Any]] = _
+  private var hashes: Array[Int] = _
+  private var chain: Array[Int] = _
+  private var head: Array[Int] = _
+  private var mask = 0
   private var pCur: Array[Any] = _
-  private var matches: mutable.ArrayBuffer[Array[Any]] = _
-  private var mIdx = 0
+  private var pHash = 0
+  private var cursor = -1
 
-  private def keyOf(t: Array[Any], idx: Array[Int]): Any = {
+  private def hasNullKey(t: Array[Any], idx: Array[Int]): Boolean = {
     var i = 0
-    while (i < idx.length) { if (t(idx(i)) == null) return null; i += 1 }
-    if (idx.length == 1) t(idx(0)) else idx.toSeq.map(t(_))
+    while (i < idx.length) { if (t(idx(i)) == null) return true; i += 1 }
+    false
+  }
+
+  /** Mixes the `##` of the key columns, so keys equal under `==` (also
+    * across numeric box types) hash alike.
+    */
+  private def hashOf(t: Array[Any], idx: Array[Int]): Int = {
+    var h = 0
+    var i = 0
+    while (i < idx.length) { h = h * 31 + t(idx(i)).##; i += 1 }
+    byteswap32(h)
+  }
+
+  /** The first build row at or after chain position `from` whose key equals pCur's. */
+  private def matchFrom(from: Int): Int = {
+    var i = from
+    while (i >= 0) {
+      if (hashes(i) == pHash) {
+        val bt = rows(i)
+        var k = 0
+        while (k < bKeyIdx.length && bt(bKeyIdx(k)) == pCur(pKeyIdx(k))) k += 1
+        if (k == bKeyIdx.length) return i
+      }
+      i = chain(i)
+    }
+    -1
   }
 
   override def open(): Unit = {
-    table = mutable.HashMap.empty
-    build.open()
-    var t = build.next()
-    while (t != null) {
-      val k = keyOf(t, bKeyIdx)
-      if (k != null) table.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += t
-      t = build.next()
+    rows = build.drain()
+    val n = rows.length
+    val buckets = Integer.highestOneBit(math.max(2 * n - 1, 1)) << 1 // least power of two ≥ 2n
+    hashes = new Array[Int](n)
+    chain = new Array[Int](n)
+    head = Array.fill(buckets)(-1)
+    mask = buckets - 1
+    // Push rows in reverse so that each chain lists them in build order.
+    var i = n - 1
+    while (i >= 0) {
+      val bt = rows(i)
+      if (!hasNullKey(bt, bKeyIdx)) { // a null key never matches
+        val h = hashOf(bt, bKeyIdx)
+        hashes(i) = h
+        chain(i) = head(h & mask)
+        head(h & mask) = i
+      }
+      i -= 1
     }
-    build.close()
     probe.open()
     pCur = null
-    matches = null
-    mIdx = 0
+    cursor = -1
   }
 
   private def emit(bt: Array[Any], pt: Array[Any]): Array[Any] = {
@@ -89,27 +132,27 @@ final class BuildProbe(
 
   override def next(): Array[Any] = {
     while (true) {
-      if (matches != null && mIdx < matches.size) {
-        val bt = matches(mIdx); mIdx += 1
+      if (cursor >= 0) {
+        val bt = rows(cursor)
+        cursor = matchFrom(chain(cursor))
         return emit(bt, pCur)
       }
-      matches = null
       pCur = probe.next()
       if (pCur == null) return null
-      val k = keyOf(pCur, pKeyIdx)
-      val hit = if (k == null) None else table.get(k)
+      if (hasNullKey(pCur, pKeyIdx)) cursor = -1
+      else {
+        pHash = hashOf(pCur, pKeyIdx)
+        cursor = matchFrom(head(pHash & mask))
+      }
       kind match {
         case JoinKind.Inner =>
-          hit.foreach { ms => matches = ms; mIdx = 0 }
         case JoinKind.Semi =>
-          if (hit.isDefined) return pCur
+          if (cursor >= 0) { cursor = -1; return pCur }
         case JoinKind.Anti =>
-          if (hit.isEmpty) return pCur
+          if (cursor < 0) return pCur
+          cursor = -1
         case JoinKind.Outer =>
-          hit match {
-            case Some(ms) => matches = ms; mIdx = 0
-            case None     => return emit(null, pCur)
-          }
+          if (cursor < 0) return emit(null, pCur)
       }
     }
     null // unreachable
@@ -117,7 +160,9 @@ final class BuildProbe(
 
   override def close(): Unit = {
     probe.close()
-    table = null
-    matches = null
+    rows = null
+    hashes = null
+    chain = null
+    head = null
   }
 }

@@ -22,6 +22,9 @@ final class LocalPartitioning(
 
   override def open(): Unit = {
     val sizes = Histograms.toArray(hist, n)
+    for (b <- 0 until n)
+      require(sizes(b) <= Int.MaxValue,
+        s"local partition $b needs ${sizes(b)} rows, more than an Int window holds")
     val p = Array.tabulate(n)(b => new Array[Array[Any]](sizes(b).toInt))
     val cursors = new Array[Int](n)
     data.open()

@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable
+import scala.util.hashing.byteswap32
 
 /** Reduce (paper §3.3.2): folds all upstream tuples into a single tuple with
   * an associative, commutative combine function. Emits nothing on empty
@@ -34,7 +34,7 @@ final class Reduce(up: SubOp, f: (Array[Any], Array[Any]) => Array[Any]) extends
   * `keyField` into one. As in the paper, the key field is stripped from the
   * tuples passed to the combine function and re-attached (in the original
   * field position) before tuples are returned; the output type equals the
-  * input type.
+  * input type. Groups come out in the order of their keys' first occurrence.
   */
 final class ReduceByKey(
     up: SubOp,
@@ -45,7 +45,17 @@ final class ReduceByKey(
   private val keyIdx = up.outType.indexOf(keyField)
   private val arity  = up.outType.arity
 
-  private var it: Iterator[(Any, Array[Any])] = _
+  // Group g's key, accumulator and key hash sit at index g of parallel
+  // arrays, in first-occurrence order; bucket b's chain starts at head(b)
+  // and continues through chain(g), -1 ending it.
+  private var keys: Array[Any] = _
+  private var accs: Array[Array[Any]] = _
+  private var hashes: Array[Int] = _
+  private var chain: Array[Int] = _
+  private var head: Array[Int] = _
+  private var mask = 0
+  private var groups = 0
+  private var emitted = 0
 
   private def strip(t: Array[Any]): Array[Any] = {
     val v = new Array[Any](arity - 1)
@@ -54,35 +64,81 @@ final class ReduceByKey(
     v
   }
 
+  /** Resizes the group arrays to `capacity` and re-chains every group into
+    * a head array of twice as many buckets.
+    */
+  private def resize(capacity: Int): Unit = {
+    keys = Array.copyOf(keys, capacity)
+    accs = Array.copyOf(accs, capacity)
+    hashes = Array.copyOf(hashes, capacity)
+    chain = Array.copyOf(chain, capacity)
+    head = Array.fill(2 * capacity)(-1)
+    mask = head.length - 1
+    var g = 0
+    while (g < groups) {
+      chain(g) = head(hashes(g) & mask)
+      head(hashes(g) & mask) = g
+      g += 1
+    }
+  }
+
   override def open(): Unit = {
+    keys = new Array[Any](0)
+    accs = new Array[Array[Any]](0)
+    hashes = new Array[Int](0)
+    chain = new Array[Int](0)
+    groups = 0
+    resize(ReduceByKey.InitialGroups)
     up.open()
-    val groups = mutable.LinkedHashMap.empty[Any, Array[Any]]
     var t = up.next()
     while (t != null) {
       val k = t(keyIdx)
-      val v = strip(t)
-      groups.get(k) match {
-        case Some(acc) => groups.update(k, f(acc, v))
-        case None      => groups.update(k, v)
+      val h = byteswap32(k.##) // equal under == ⇒ equal ##
+      var g = head(h & mask)
+      while (g >= 0 && !(hashes(g) == h && keys(g) == k)) g = chain(g)
+      if (g >= 0) accs(g) = f(accs(g), strip(t))
+      else {
+        if (groups == keys.length) resize(2 * groups)
+        g = groups
+        keys(g) = k
+        accs(g) = strip(t)
+        hashes(g) = h
+        chain(g) = head(h & mask)
+        head(h & mask) = g
+        groups += 1
       }
       t = up.next()
     }
     up.close()
-    it = groups.iterator
+    emitted = 0
   }
 
   override def next(): Array[Any] =
-    if (it == null || !it.hasNext) null
+    if (emitted >= groups) null
     else {
-      val (k, v) = it.next()
+      val k = keys(emitted)
+      val v = accs(emitted)
+      emitted += 1
       val out = new Array[Any](arity)
-      var i = 0; var o = 0
-      while (i < arity) {
-        if (i == keyIdx) out(i) = k else { out(i) = v(o); o += 1 }
-        i += 1
+      var j = 0; var o = 0
+      while (j < arity) {
+        if (j == keyIdx) out(j) = k else { out(j) = v(o); o += 1 }
+        j += 1
       }
       out
     }
 
-  override def close(): Unit = it = null
+  override def close(): Unit = {
+    keys = null
+    accs = null
+    hashes = null
+    chain = null
+    head = null
+    groups = 0
+  }
+}
+
+object ReduceByKey {
+  /** Group capacity of a freshly opened table; it doubles as groups arrive. */
+  private final val InitialGroups = 64
 }

@@ -8,26 +8,35 @@ final class Zip(ups: Seq[SubOp]) extends SubOp {
   require(ups.nonEmpty, "Zip needs at least one upstream")
   override val outType: TupleType = ups.map(_.outType).reduce(_ ++ _)
   private val arity = outType.arity
+  private val upArr = ups.toArray
+  private val parts = new Array[Array[Any]](upArr.length)
 
-  override def open(): Unit = ups.foreach(_.open())
+  override def open(): Unit = upArr.foreach(_.open())
 
   override def next(): Array[Any] = {
-    val parts = ups.map(_.next())
-    val nulls = parts.count(_ == null)
-    if (nulls == parts.size) return null
+    var nulls = 0
+    var u = 0
+    while (u < upArr.length) {
+      parts(u) = upArr(u).next()
+      if (parts(u) == null) nulls += 1
+      u += 1
+    }
+    if (nulls == upArr.length) return null
     if (nulls != 0)
       throw new IllegalStateException(
         s"Zip upstreams returned different numbers of tuples (${outType.render})")
     val out = new Array[Any](arity)
     var o = 0
-    parts.foreach { p =>
-      var i = 0
-      while (i < p.length) { out(o) = p(i); o += 1; i += 1 }
+    u = 0
+    while (u < parts.length) {
+      System.arraycopy(parts(u), 0, out, o, parts(u).length)
+      o += parts(u).length
+      u += 1
     }
     out
   }
 
-  override def close(): Unit = ups.foreach(_.close())
+  override def close(): Unit = upArr.foreach(_.close())
 }
 
 /** CartesianProduct (paper §3.3.2): all combinations of left and right tuples

@@ -1,7 +1,7 @@
 package repro.monolith
 
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
+import scala.util.hashing.byteswap32
 
 import repro.core.RowVec
 import repro.mpi._
@@ -85,17 +85,22 @@ object MonolithicRadixJoin {
       val cr = ctx.allGather(hr)
       val cs = ctx.allGather(hs)
 
+      // Summed in Long; every offset is at most its owner's window size,
+      // checked to fit an Int.
       def layout(gh: Array[Long]): (Array[Int], Array[Int]) = {
-        val partBase = new Array[Int](netFan)
-        val sizePerRank = new Array[Int](n)
+        val partBase = new Array[Long](netFan)
+        val sizePerRank = new Array[Long](n)
         var p = 0
         while (p < netFan) {
           val o = p % n
           partBase(p) = sizePerRank(o)
-          sizePerRank(o) += gh(p).toInt
+          sizePerRank(o) += gh(p)
           p += 1
         }
-        (partBase, sizePerRank)
+        for (o <- 0 until n)
+          require(sizePerRank(o) <= Int.MaxValue,
+            s"window of rank $o needs ${sizePerRank(o)} rows, more than an Int window holds")
+        (partBase.map(_.toInt), sizePerRank.map(_.toInt))
       }
       val (rBase, rSizes) = layout(ghr)
       val (sBase, sSizes) = layout(ghs)
@@ -188,6 +193,8 @@ object MonolithicRadixJoin {
     }
 
     // ---- Phase 4: build and probe per cache-sized sub-partition. ----------
+    // The bucket-chained table of BuildProbe (head/chain arrays, chains in
+    // build order), inlined on the unboxed key-high bits `c >>> pBits`.
     ctx.timer.time("buildProbe") {
       val out = new ArrayBuffer[Array[Any]]()
       val vMask = (1L << pBits) - 1
@@ -198,27 +205,28 @@ object MonolithicRadixJoin {
         while (b < localFan) {
           val rs = rSub(pi)(b)
           val ss = sSub(pi)(b)
-          val table = new mutable.HashMap[Long, ArrayBuffer[Array[Any]]]()
-          var i = 0
-          while (i < rs.length) {
-            val c = rs(i)(0).asInstanceOf[Long]
-            table.getOrElseUpdate(c >>> pBits, new ArrayBuffer[Array[Any]](1)) += rs(i)
-            i += 1
+          val keys = new Array[Long](rs.length)
+          val chain = new Array[Int](rs.length)
+          val head = Array.fill(Integer.highestOneBit(math.max(2 * rs.length - 1, 1)) << 1)(-1)
+          val mask = head.length - 1
+          var i = rs.length - 1
+          while (i >= 0) {
+            val khi = rs(i)(0).asInstanceOf[Long] >>> pBits
+            val h = byteswap32(khi.##) & mask
+            keys(i) = khi
+            chain(i) = head(h)
+            head(h) = i
+            i -= 1
           }
           i = 0
           while (i < ss.length) {
             val c = ss(i)(0).asInstanceOf[Long]
             val khi = c >>> pBits
-            table.get(khi) match {
-              case Some(vs) =>
-                val k = (khi << netBits) | npid
-                val sv = c & vMask
-                var j = 0
-                while (j < vs.length) {
-                  out += Array[Any](k, vs(j)(0).asInstanceOf[Long] & vMask, sv)
-                  j += 1
-                }
-              case None =>
+            var j = head(byteswap32(khi.##) & mask)
+            while (j >= 0) {
+              if (keys(j) == khi)
+                out += Array[Any]((khi << netBits) | npid, rs(j)(0).asInstanceOf[Long] & vMask, c & vMask)
+              j = chain(j)
             }
             i += 1
           }

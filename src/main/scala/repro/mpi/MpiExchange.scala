@@ -58,17 +58,21 @@ final class MpiExchange(
     val counts = ctx.allGather(lh)
 
     // Layout of each owner's window: owned partitions in increasing id,
-    // each region exactly the global partition size.
-    val partBase = new Array[Int](nPart)
-    val winSizePerRank = new Array[Int](n)
+    // each region exactly the global partition size. Summed in Long: every
+    // offset below is at most its owner's window size, checked to fit an Int.
+    val partBase = new Array[Long](nPart)
+    val winSizePerRank = new Array[Long](n)
     var p = 0
     while (p < nPart) {
       val o = ownerOf(p)
       partBase(p) = winSizePerRank(o)
-      winSizePerRank(o) += gh(p).toInt
+      winSizePerRank(o) += gh(p)
       p += 1
     }
-    val win = ctx.winCreate(winSizePerRank(ctx.rank))
+    for (o <- 0 until n)
+      require(winSizePerRank(o) <= Int.MaxValue,
+        s"MpiExchange window of rank $o needs ${winSizePerRank(o)} rows, more than an Int window holds")
+    val win = ctx.winCreate(winSizePerRank(ctx.rank).toInt)
 
     // Exclusive write cursor per partition: base + sum of lower ranks' counts.
     val cursor = new Array[Int](nPart)
@@ -76,8 +80,8 @@ final class MpiExchange(
     while (p < nPart) {
       var off = partBase(p)
       var r = 0
-      while (r < ctx.rank) { off += counts(r)(p).toInt; r += 1 }
-      cursor(p) = off
+      while (r < ctx.rank) { off += counts(r)(p); r += 1 }
+      cursor(p) = off.toInt
       p += 1
     }
 
@@ -115,7 +119,7 @@ final class MpiExchange(
     (0 until nPart).filter(ownerOf(_) == ctx.rank).map { pid =>
       Array[Any](
         pid,
-        new RowSlice(mine, partBase(pid), gh(pid).toInt): RowVec,
+        new RowSlice(mine, partBase(pid).toInt, gh(pid).toInt): RowVec,
       )
     }.toVector
   }

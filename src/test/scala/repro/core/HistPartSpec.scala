@@ -64,6 +64,14 @@ class HistPartSpec extends AnyFunSuite {
     intercept[Exception](lp.drain())
   }
 
+  test("LocalPartitioning rejects a partition larger than an Int window before allocating") {
+    val hist = new VectorSource(ArrayBuffer(Array[Any](0, 0L), Array[Any](1, 3000000000L)),
+      TupleType.of("bucket" -> Atom.IntA, "count" -> Atom.LongA))
+    val e = intercept[IllegalArgumentException](
+      new LocalPartitioning(src(), hist, 2, bucketOf(2)).drain())
+    assert(e.getMessage.contains("partition 1 needs 3000000000 rows"))
+  }
+
   test("property: partitioning preserves multiset and respects bucket function") {
     val rnd = new Random(7)
     for (_ <- 1 to 50) {

@@ -63,6 +63,19 @@ class MpiOpsSpec extends AnyFunSuite {
     assert(counts.sum == 400)
   }
 
+  test("MpiExchange rejects a window larger than an Int on every rank, before allocating") {
+    val histT = TupleType.of("bucket" -> Atom.IntA, "count" -> Atom.LongA)
+    def hist(counts: Long*) = new VectorSource(
+      ArrayBuffer.tabulate(counts.size)(p => Array[Any](p, counts(p))), histT)
+    val rt = new MpiRuntime(2)
+    val e = intercept[IllegalArgumentException](rt.run { ctx =>
+      // Partitions 1 and 3 (owned by rank 1) hold 1.5 * 10^9 rows each.
+      new MpiExchange(src(), hist(0, 0, 0, 0), hist(0, 1500000000L, 0, 1500000000L),
+        4, bucketOf(4), ctx).drain()
+    })
+    assert(e.getMessage.contains("window of rank 1 needs 3000000000 rows"))
+  }
+
   test("MpiExchange with radix compression packs and byte-accounts 8B tuples") {
     val n = 2
     val netBits = 1
