@@ -77,21 +77,28 @@ final class FilterOp(up: SubOp, pred: Array[Any] => Boolean) extends SubOp {
   override def close(): Unit = up.close()
 }
 
-/** Transparent wrapper accumulating wall time spent inside the wrapped
-  * operator (open + every next, inclusive of its upstream) into a named
-  * phase — the benches read these for the paper's Fig 6 phase breakdown.
+/** Transparent wrapper adding one span per open to a named phase: from
+  * `open()` to the first `next()` that returns null, or to `close()` if the
+  * consumer stops early. The span includes the upstream's work and the
+  * consumer's work between `next()` calls; the clock is read twice per open,
+  * never per tuple. The benches read these for the paper's Fig 6 phase
+  * breakdown.
   */
 final class Timed(up: SubOp, timer: repro.mpi.PhaseTimer, phase: String) extends SubOp {
   override val outType: TupleType = up.outType
+  private var t0 = 0L
+  private var running = false
   override def open(): Unit = {
-    val t0 = System.nanoTime()
-    try up.open()
-    finally timer.add(phase, System.nanoTime() - t0)
+    t0 = System.nanoTime()
+    running = true
+    up.open()
   }
   override def next(): Array[Any] = {
-    val t0 = System.nanoTime()
-    try up.next()
-    finally timer.add(phase, System.nanoTime() - t0)
+    val t = up.next()
+    if (t == null) stop()
+    t
   }
-  override def close(): Unit = up.close()
+  override def close(): Unit = { stop(); up.close() }
+  private def stop(): Unit =
+    if (running) { timer.add(phase, System.nanoTime() - t0); running = false }
 }

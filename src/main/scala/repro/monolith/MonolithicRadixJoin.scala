@@ -54,7 +54,7 @@ object MonolithicRadixJoin {
       netBits: Int,
       localBits: Int,
   ): ArrayBuffer[Array[Any]] = {
-    val pBits = Compression.PBits
+    import MpiExchange.{keyHi, pack, restoreKey, value}
     val batchRows = MpiExchange.BatchRows
     val netFan  = 1 << netBits
     val netMask = netFan - 1
@@ -130,7 +130,6 @@ object MonolithicRadixJoin {
             ctx.put(win, p % n, cursor(p), batches(p), len, len.toLong * bytesPerTuple)
             cursor(p) += len
             fill(p) = 0
-            batches(p) = new Array[Array[Any]](batchRows)
           }
         }
         var i = 0
@@ -140,7 +139,7 @@ object MonolithicRadixJoin {
           val v = t(1).asInstanceOf[Long]
           val p2 = (k & netMask).toInt
           // write-combining buffer of compressed 64-bit words
-          batches(p2)(fill(p2)) = Array[Any](((k >>> netBits) << pBits) | v)
+          batches(p2)(fill(p2)) = Array[Any](pack(k, v, netBits))
           fill(p2) = fill(p2) + 1
           if (fill(p2) == batchRows) flush(p2)
           i += 1
@@ -170,7 +169,7 @@ object MonolithicRadixJoin {
         var i = 0
         while (i < len) {
           val c = region(from + i)(0).asInstanceOf[Long]
-          val b = ((c >>> pBits) & localMask).toInt
+          val b = (keyHi(c) & localMask).toInt
           hist(b) = hist(b) + 1
           i += 1
         }
@@ -180,7 +179,7 @@ object MonolithicRadixJoin {
         while (i < len) {
           val row = region(from + i)
           val c = row(0).asInstanceOf[Long]
-          val b = ((c >>> pBits) & localMask).toInt
+          val b = (keyHi(c) & localMask).toInt
           out(b)(cur(b)) = row
           cur(b) += 1
           i += 1
@@ -194,10 +193,9 @@ object MonolithicRadixJoin {
 
     // ---- Phase 4: build and probe per cache-sized sub-partition. ----------
     // The bucket-chained table of BuildProbe (head/chain arrays, chains in
-    // build order), inlined on the unboxed key-high bits `c >>> pBits`.
+    // build order), inlined on the unboxed key-high bits `keyHi(c)`.
     ctx.timer.time("buildProbe") {
       val out = new ArrayBuffer[Array[Any]]()
-      val vMask = (1L << pBits) - 1
       var pi = 0
       while (pi < myParts.length) {
         val npid = myParts(pi)
@@ -211,7 +209,7 @@ object MonolithicRadixJoin {
           val mask = head.length - 1
           var i = rs.length - 1
           while (i >= 0) {
-            val khi = rs(i)(0).asInstanceOf[Long] >>> pBits
+            val khi = keyHi(rs(i)(0).asInstanceOf[Long])
             val h = byteswap32(khi.##) & mask
             keys(i) = khi
             chain(i) = head(h)
@@ -221,11 +219,11 @@ object MonolithicRadixJoin {
           i = 0
           while (i < ss.length) {
             val c = ss(i)(0).asInstanceOf[Long]
-            val khi = c >>> pBits
+            val khi = keyHi(c)
             var j = head(byteswap32(khi.##) & mask)
             while (j >= 0) {
               if (keys(j) == khi)
-                out += Array[Any]((khi << netBits) | npid, rs(j)(0).asInstanceOf[Long] & vMask, c & vMask)
+                out += Array[Any](restoreKey(khi, npid, netBits), value(rs(j)(0).asInstanceOf[Long]), value(c))
               j = chain(j)
             }
             i += 1

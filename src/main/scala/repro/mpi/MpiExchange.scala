@@ -12,10 +12,15 @@ import repro.core._
   *  2. create one RMA window sized to hold exactly the partitions this rank
   *     owns (`owner(p) = p mod nRanks`);
   *  3. re-read the main upstream, route each tuple with `partOf`, buffer it
-  *     in a per-partition write-combining batch (optionally radix-compressed
-  *     at write time), and flush full batches with one-sided puts;
+  *     in a per-partition write-combining batch (radix-compressed at write
+  *     time when `compress` is set), and flush full batches with one-sided
+  *     puts;
   *  4. fence, then emit ⟨npid, partitionData⟩ pairs over zero-copy slices of
   *     the local window region.
+  *
+  * With `compress`, the input must be ⟨long,long⟩ tuples and `partOf` the
+  * identity radix over the key's low F = log2(`nPart`) bits; each tuple
+  * travels as one packed word (see the companion).
   */
 final class MpiExchange(
     data: SubOp,
@@ -24,13 +29,18 @@ final class MpiExchange(
     nPart: Int,
     partOf: Array[Any] => Int,
     ctx: MpiContext,
-    compress: Compression = Compression.none,
+    compress: Boolean = false,
     ownerShift: Int = 0,
 ) extends SubOp {
-  import MpiExchange.BatchRows
+  import MpiExchange._
 
-  private val elemT: TupleType =
-    if (compress.enabled) compress.outType else data.outType
+  if (compress) {
+    require(Integer.bitCount(nPart) == 1, s"radix compression needs a power-of-two fanout, got $nPart")
+    require(data.outType.fields.map(_._2) == Vector(Atom.LongA, Atom.LongA),
+      s"radix compression needs ⟨long,long⟩ tuples: ${data.outType.render}")
+  }
+  private val fBits = Integer.numberOfTrailingZeros(nPart)
+  private val elemT: TupleType = if (compress) WordType else data.outType
   private val bytesPerTuple: Int = Bytes.perTuple(elemT)
 
   override val outType: TupleType =
@@ -95,7 +105,6 @@ final class MpiExchange(
         ctx.put(win, ownerOf(p), cursor(p), batches(p), len, len.toLong * bytesPerTuple)
         cursor(p) += len
         fill(p) = 0
-        batches(p) = new Array[Array[Any]](BatchRows)
       }
     }
 
@@ -103,8 +112,8 @@ final class MpiExchange(
     var t = data.next()
     while (t != null) {
       val pid = partOf(t)
-      val out = if (compress.enabled) compress.pack(t, pid) else t
-      batches(pid)(fill(pid)) = out
+      batches(pid)(fill(pid)) =
+        if (compress) Array[Any](pack(t(0).asInstanceOf[Long], t(1).asInstanceOf[Long], fBits)) else t
       fill(pid) += 1
       if (fill(pid) == BatchRows) flush(pid)
       t = data.next()
@@ -131,46 +140,34 @@ final class MpiExchange(
   override def close(): Unit = owned = null
 }
 
+/** The radix-compressed word of the network phase (paper §4.1.1): with
+  * identity-hash radix partitioning into 2^F partitions, the low F bits of
+  * the key equal the partition id, so they are dropped; the key's high bits
+  * and the payload are packed into one 64-bit word, halving wire bytes. The
+  * dropped bits are recovered downstream from the networkPartitionID.
+  */
 object MpiExchange {
   /** Rows per write-combining batch, i.e. per one-sided put. */
   final val BatchRows = 1024
-}
-
-/** Radix compression for the network phase (paper §4.1.1): with identity-hash
-  * radix partitioning over dense long domains, the low F partition bits of
-  * the key are constant within a partition and can be dropped; key-high-bits
-  * and payload are packed into one 64-bit word, halving wire bytes. The
-  * dropped bits are recovered downstream by a ParametrizedMap fed the
-  * networkPartitionID.
-  */
-final class Compression private (
-    val enabled: Boolean,
-    val outType: TupleType,
-    val pack: (Array[Any], Int) => Array[Any],
-)
-
-object Compression {
-  val none: Compression = new Compression(false, null, null)
 
   /** Payload bits of a packed word: the payload occupies the low 32 bits. */
   final val PBits = 32
 
-  /** Pack ⟨k: long, v: long⟩ into ⟨c: long⟩ with `c = ((k >>> fBits) << pBits) | v`;
-    * requires `v < 2^pBits` and `k < 2^(64 - pBits + fBits)`.
-    */
-  def radixLongPair(fBits: Int, pBits: Int = PBits): Compression =
-    new Compression(
-      enabled = true,
-      outType = TupleType.of("c" -> Atom.LongA),
-      pack = (t, _) => {
-        val k = t(0).asInstanceOf[Long]
-        val v = t(1).asInstanceOf[Long]
-        Array[Any](((k >>> fBits) << pBits) | v)
-      },
-    )
+  /** The element type of a compressed exchange: one packed word. */
+  val WordType: TupleType = TupleType.of("c" -> Atom.LongA)
 
-  /** Decompression helpers matching [[radixLongPair]]. */
-  def keyHi(c: Long, pBits: Int): Long = c >>> pBits
-  def value(c: Long, pBits: Int): Long = c & ((1L << pBits) - 1)
+  /** `((k >>> fBits) << PBits) | v`. The word's domain is `0 ≤ v < 2^PBits`
+    * and `0 ≤ k < 2^(PBits + fBits)`; anything outside it would come back
+    * as a different tuple, so it is refused.
+    */
+  def pack(k: Long, v: Long, fBits: Int): Long = {
+    if ((v >>> PBits) != 0 || (k >>> (PBits + fBits)) != 0)
+      throw new IllegalArgumentException(
+        s"radix compression packs only 0 ≤ v < 2^$PBits and 0 ≤ k < 2^${PBits + fBits}, got k=$k v=$v")
+    ((k >>> fBits) << PBits) | v
+  }
+
+  def keyHi(c: Long): Long = c >>> PBits
+  def value(c: Long): Long = c & ((1L << PBits) - 1)
   def restoreKey(keyHi: Long, npid: Int, fBits: Int): Long = (keyHi << fBits) | npid
 }

@@ -1,72 +1,50 @@
 package repro.mpi
 
+import java.util.concurrent.Phaser
 import java.util.concurrent.locks.LockSupport
 
-/** SPMD runtime simulating an MPI job over RDMA (paper §2): ranks are JVM
-  * threads, collectives are barrier-based, and RMA windows are pre-sized
-  * shared row arrays with exclusive write regions per sender — the same
-  * synchronization structure as `MPI_Win_create` / `MPI_Put` /
-  * `MPI_Win_fence` used by the monolithic join of Barthels et al.
-  *
-  * All collectives must be called by every rank in the same global order
-  * (the MPI contract); a shared exchange board plus two barriers per
-  * collective implements allGather, from which allReduce derives.
-  */
 /** Thrown on ranks that were blocked in a collective when a peer failed. */
 final class PeerFailedException(cause: Throwable)
     extends IllegalStateException("a peer rank failed during a collective", cause)
 
-/** Sense-counting barrier that aborts waiters when a peer has failed: every
-  * waiter polls the runtime's failure flag, so a dead rank can never leave
-  * the cluster deadlocked in a collective (the simulator's analog of an MPI
-  * job abort).
+/** SPMD runtime simulating an MPI job over RDMA (paper §2): ranks are JVM
+  * threads and RMA windows are pre-sized shared row arrays with exclusive
+  * write regions per sender — the same synchronization structure as
+  * `MPI_Win_create` / `MPI_Put` / `MPI_Win_fence` used by the monolithic
+  * join of Barthels et al.
+  *
+  * All collectives must be called by every rank in the same global order
+  * (the MPI contract). They run on one `Phaser` per run: a shared exchange
+  * board plus two phases per collective implements allGather, from which
+  * allReduce derives. Terminating the phaser is the job abort: a failing
+  * rank records its exception and terminates the phaser, which releases
+  * every peer in or entering a collective with a [[PeerFailedException]].
   */
-private[mpi] final class AbortableBarrier(n: Int, failed: () => Throwable) {
-  private var generation = 0L
-  private var waiting = 0
-
-  def await(): Unit = synchronized {
-    val f0 = failed()
-    if (f0 != null) throw new PeerFailedException(f0)
-    val gen = generation
-    waiting += 1
-    if (waiting == n) {
-      waiting = 0
-      generation += 1
-      notifyAll()
-    } else {
-      while (generation == gen) {
-        wait(25)
-        if (generation == gen) {
-          val f = failed()
-          if (f != null) { waiting -= 1; throw new PeerFailedException(f) }
-        }
-      }
-    }
-  }
-}
-
 final class MpiRuntime(val nRanks: Int, val cfg: NetConfig = NetConfig()) {
   require(nRanks >= 1)
   @volatile private var failure: Throwable = _
-  private val barrier = new AbortableBarrier(nRanks, () => failure)
-  private val board   = new Array[AnyRef](nRanks)
+  @volatile private var phaser: Phaser = _
+  private val board = new Array[AnyRef](nRanks)
 
   /** Run `body` on every rank concurrently; returns per-rank results in rank
-    * order. The first rank failure is rethrown on the driver; peers blocked
-    * on a collective abort via [[PeerFailedException]].
+    * order. The first rank failure is rethrown on the driver.
     */
   def run[A](body: MpiContext => A): Vector[A] = {
     val results  = new Array[Any](nRanks)
     val contexts = Vector.tabulate(nRanks)(r => new MpiContext(r, this))
     lastContexts = contexts
+    val ph = new Phaser(nRanks)
+    failure = null
+    phaser = ph
     val threads = (0 until nRanks).map { r =>
       val t = new Thread(
         () =>
           try results(r) = body(contexts(r))
           catch {
-            case e: PeerFailedException => () // primary failure already recorded
-            case e: Throwable           => if (failure == null) failure = e
+            case _: PeerFailedException => () // primary failure already recorded
+            case e: Throwable =>
+              synchronized { if (failure == null) failure = e }
+              ph.forceTermination()
           },
         s"mpi-rank-$r"
       )
@@ -75,18 +53,15 @@ final class MpiRuntime(val nRanks: Int, val cfg: NetConfig = NetConfig()) {
     }
     threads.foreach(_.start())
     threads.foreach(_.join())
-    if (failure != null) {
-      val f = failure
-      failure = null
-      throw f
-    }
+    if (failure != null) throw failure
     Vector.tabulate(nRanks)(r => results(r).asInstanceOf[A])
   }
 
   /** Contexts of the most recent run — benches read timers/stats from here. */
   @volatile var lastContexts: Vector[MpiContext] = Vector.empty
 
-  private[mpi] def sync(): Unit = barrier.await()
+  private[mpi] def sync(): Unit =
+    if (phaser.arriveAndAwaitAdvance() < 0) throw new PeerFailedException(failure)
 
   private[mpi] def exchange[T <: AnyRef](rank: Int, v: T): Vector[T] = {
     board(rank) = v

@@ -32,10 +32,11 @@ object JoinSequencePlan {
     val sides = (0 until nRel).map(i => scanField(slot, relField(i)) -> cfg.compress)
     partitioned(sides, slot, ctx, cfg) { (s, restore) =>
       // Chain: output of the (i-1)-th BuildProbe probes the i-th (§4.2).
+      // One span over the whole chain: a span per BuildProbe would nest
+      // inside the next one's and count its time twice.
       val key = Seq(s(0).outType.fieldNames.head)
-      restore(s.tail.foldLeft(s(0)) { (chain, rel) =>
-        new Timed(new BuildProbe(rel, chain, key, JoinKind.Inner), ctx.timer, "buildProbe")
-      })
+      val chain = s.tail.foldLeft(s(0))((chain, rel) => new BuildProbe(rel, chain, key, JoinKind.Inner))
+      restore(new Timed(chain, ctx.timer, "buildProbe"))
     }
   }
 

@@ -45,7 +45,7 @@ object PlanPieces {
     */
   def localPartOf(cfg: DistConfig, compressed: Boolean): Array[Any] => Int = {
     val mask = cfg.localFan - 1
-    if (compressed) t => ((t(0).asInstanceOf[Long] >>> Compression.PBits) & mask).toInt
+    if (compressed) t => (MpiExchange.keyHi(t(0).asInstanceOf[Long]) & mask).toInt
     else t => ((t(0).asInstanceOf[Long] >>> cfg.netBits) & mask).toInt
   }
 
@@ -60,7 +60,7 @@ object PlanPieces {
       scope: ParamSlot,
       ctx: MpiContext,
       cfg: DistConfig,
-      compression: Compression,
+      compress: Boolean,
       ownerShift: Int = 0,
   ): SubOp = {
     val netPart = netPartOf(cfg)
@@ -69,7 +69,7 @@ object PlanPieces {
       new Timed(new LocalHistogram(sh.scan, cfg.netFan, netPart), ctx.timer, "localHistogram"),
       scope)
     val gh = new MpiHistogram(lh.scan, cfg.netFan, ctx)
-    new MpiExchange(sh.scan, lh.scan, gh, cfg.netFan, netPart, ctx, compression, ownerShift)
+    new MpiExchange(sh.scan, lh.scan, gh, cfg.netFan, netPart, ctx, compress, ownerShift)
   }
 
   /** The local partitioning motif inside the first NestedMap of Figs 3/5:
@@ -107,7 +107,7 @@ object PlanPieces {
       up,
       t => {
         val c = t(0).asInstanceOf[Long]
-        Array[Any](Compression.keyHi(c, Compression.PBits), Compression.value(c, Compression.PBits))
+        Array[Any](MpiExchange.keyHi(c), MpiExchange.value(c))
       },
       TupleType.of("khi" -> Atom.LongA, valName -> Atom.LongA),
     )
@@ -129,7 +129,7 @@ object PlanPieces {
       new Projection(new ParameterLookup(slotWithNpid), Seq(npidField)),
       (param, t) => {
         val out = t.clone()
-        out(0) = Compression.restoreKey(
+        out(0) = MpiExchange.restoreKey(
           t(0).asInstanceOf[Long], param(0).asInstanceOf[Int], netBits)
         out
       },
@@ -163,19 +163,13 @@ object PlanPieces {
       ownerShift: Int = 0,
       levelAgg: SubOp => SubOp = id,
   )(body: (Seq[SubOp], SubOp => SubOp) => SubOp): SubOp = {
-    for ((keyed, compressed) <- sides) {
+    for ((keyed, _) <- sides)
       require(keyed.outType.fields.head._2 == Atom.LongA,
         s"partition key (field 0) must be a long: ${keyed.outType.render}")
-      if (compressed)
-        require(keyed.outType.arity == 2 && keyed.outType.fields(1)._2 == Atom.LongA,
-          s"radix compression needs ⟨long,long⟩ tuples: ${keyed.outType.render}")
-    }
     val idx = sides.indices
     val exchanged = idx.map { i =>
       val (keyed, compressed) = sides(i)
-      val compression =
-        if (compressed) Compression.radixLongPair(cfg.netBits) else Compression.none
-      new Rename(exchangePipeline(keyed, slot, ctx, cfg, compression, ownerShift), Seq(s"npid$i", s"data$i"))
+      new Rename(exchangePipeline(keyed, slot, ctx, cfg, compressed, ownerShift), Seq(s"npid$i", s"data$i"))
     }
     val nm1 = new NestedMap(new Zip(exchanged), slot1 => {
       val local = idx.map(i =>

@@ -150,4 +150,17 @@ class BasicOpsSpec extends AnyFunSuite {
     assert(t.drain().size == 2)
     assert(timer.nanos("p") > 0)
   }
+
+  test("Timed spans open to exhaustion, or to close when the consumer stops early") {
+    val timer = new repro.mpi.PhaseTimer
+    val t = new Timed(src(1L -> 1L, 2L -> 2L), timer, "p")
+    t.open()
+    while (t.next() != null) Thread.sleep(20) // consumer work between next() calls
+    val full = timer.nanos("p")
+    assert(full >= 40_000_000L)
+    t.close()
+    assert(timer.nanos("p") == full) // the span ended at the null, not again at close
+    t.open(); t.next(); Thread.sleep(20); t.close()
+    assert(timer.nanos("p") >= full + 20_000_000L)
+  }
 }

@@ -87,8 +87,7 @@ class MpiOpsSpec extends AnyFunSuite {
       val part: Array[Any] => Int = t => (t(0).asInstanceOf[Long] & 1L).toInt
       val lh = new Shared(new LocalHistogram(keyed, 2, part), new ParamSlot(PairT))
       val gh = new MpiHistogram(lh.scan, 2, ctx)
-      val ex = new MpiExchange(keyed, lh.scan, gh, 2, part, ctx,
-        Compression.radixLongPair(netBits))
+      val ex = new MpiExchange(keyed, lh.scan, gh, 2, part, ctx, compress = true)
       val out = ex.drain()
       assert(ex.outType.typeOf("data") ==
         CollectionType(TupleType.of("c" -> Atom.LongA)))
@@ -96,8 +95,8 @@ class MpiOpsSpec extends AnyFunSuite {
         val pid = t(0).asInstanceOf[Int]
         t(1).asInstanceOf[RowVec].map { r =>
           val c = r(0).asInstanceOf[Long]
-          Compression.restoreKey(Compression.keyHi(c, 32), pid, netBits) ->
-            Compression.value(c, 32)
+          MpiExchange.restoreKey(MpiExchange.keyHi(c), pid, netBits) ->
+            MpiExchange.value(c)
         }.toSeq
       }.toSeq
     }

@@ -1,6 +1,11 @@
 package repro.mpi
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable.ArrayBuffer
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
+
+import repro.core._
 
 class MpiRuntimeSpec extends AnyFunSuite {
 
@@ -97,6 +102,50 @@ class MpiRuntimeSpec extends AnyFunSuite {
     def causes(t: Throwable): Seq[Throwable] =
       Seq(t) ++ Option(t.getCause).toSeq.flatMap(causes)
     assert(causes(e).exists(_.getMessage != null) )
+  }
+
+  /** `f` on another thread, failing the test if it has not ended in 20 s. */
+  private def within[A](f: => A): A =
+    Await.result(Future(f)(ExecutionContext.global), 20.seconds)
+
+  test("a rank failing while peers wait in fence and allGather aborts every rank") {
+    val boom = new RuntimeException("rank 0 died")
+    val rt = new MpiRuntime(3)
+    val e = within(intercept[RuntimeException](rt.run { ctx =>
+      val win = ctx.winCreate(1)
+      ctx.rank match {
+        case 0 => Thread.sleep(50); throw boom
+        case 1 => ctx.fence(win)
+        case _ => ctx.allGather(Array(1L))
+      }
+    }))
+    assert(e eq boom)
+  }
+
+  test("a runtime runs a successful job after a failed one") {
+    val rt = new MpiRuntime(3)
+    within(intercept[RuntimeException](rt.run { ctx =>
+      if (ctx.rank == 2) throw new RuntimeException("first job fails")
+      ctx.barrier()
+    }))
+    val sums = within(rt.run { ctx =>
+      ctx.barrier()
+      ctx.allReduceSum(Array(ctx.rank.toLong))(0)
+    })
+    assert(sums == Vector(3L, 3L, 3L))
+  }
+
+  test("an exception in an MpiExecutor rank plan surfaces from open() unchanged") {
+    val boom = new IllegalStateException("plan failed on rank 1")
+    val inT = TupleType.of("x" -> Atom.LongA)
+    val exec = new MpiExecutor(
+      new VectorSource(ArrayBuffer(Array[Any](1L), Array[Any](2L)), inT), NetConfig(),
+      (slot, ctx) => new MapOp(new ParameterLookup(slot), t => {
+        if (ctx.rank == 1) throw boom
+        Array[Any](ctx.allReduceSum(Array(t(0).asInstanceOf[Long]))(0))
+      }, inT))
+    val e = within(intercept[IllegalStateException](exec.open()))
+    assert(e eq boom)
   }
 
   test("single-rank runtime works without peers") {

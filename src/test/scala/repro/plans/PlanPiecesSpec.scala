@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core._
 import repro.core.TestData._
-import repro.mpi.{Compression, MpiRuntime, NetConfig}
+import repro.mpi.{MpiExchange, MpiRuntime, NetConfig}
 import repro.plans.PlanPieces._
 
 class PlanPiecesSpec extends AnyFunSuite {
@@ -21,8 +21,6 @@ class PlanPiecesSpec extends AnyFunSuite {
   test("DistConfig fanouts derive from bit widths") {
     val c = cfg(4)
     assert(c.netFan == 8 && c.localFan == 4)
-    assert(Compression.radixLongPair(c.netBits).enabled)
-    assert(!Compression.none.enabled)
   }
 
   test("scanField dissects a collection field of the slot tuple") {
@@ -46,14 +44,14 @@ class PlanPiecesSpec extends AnyFunSuite {
     val com = localPartOf(c, compressed = true)
     val k = 0x5DL // binary 101_1101: net bits 101, local bits 11
     assert(raw(Array[Any](k, 0L)) == 3)
-    val packed = (k >>> c.netBits) << Compression.PBits | 7L
+    val packed = MpiExchange.pack(k, 7L, c.netBits)
     assert(com(Array[Any](packed)) == 3)
   }
 
   test("splitCompressed unpacks keyHi and value") {
     val c = cfg(2)
-    val packed = Compression.radixLongPair(c.netBits).pack(Array[Any](42L, 7L), 0)
-    val src = new VectorSource(Vector(packed), TupleType.of("c" -> Atom.LongA))
+    val packed = Array[Any](MpiExchange.pack(42L, 7L, c.netBits))
+    val src = new VectorSource(Vector(packed), MpiExchange.WordType)
     val out = splitCompressed(src, "v").drainOne()
     assert(out(0) == 42L >>> c.netBits)
     assert(out(1) == 7L)
@@ -78,7 +76,7 @@ class PlanPiecesSpec extends AnyFunSuite {
     val rt = new MpiRuntime(2, net)
     val results = rt.run { ctx =>
       val rows = (0L until 16L).map(k => k -> ctx.rank.toLong)
-      val ex = exchangePipeline(src(rows: _*), new ParamSlot(PairT), ctx, c, Compression.none)
+      val ex = exchangePipeline(src(rows: _*), new ParamSlot(PairT), ctx, c, compress = false)
       ex.drain().map { t =>
         val pid = t(0).asInstanceOf[Int]
         (pid, t(1).asInstanceOf[RowVec].size)
