@@ -21,8 +21,8 @@ class Fig6JoinBench extends AnyFunSuite {
 
   test("shape: modular overhead is bounded (paper: 1.12-1.28x; ours is larger " +
       "without the paper's LLVM pipeline inlining, but must stay within ~4x)") {
-    val mono = best(3, 1)(JoinBench.runMonolith(n / 2, 4))(_.totalMs)
-    val mod  = best(3, 1)(JoinBench.runModularis(n / 2, 4))(_.totalMs)
+    val mono = best(3)(JoinBench.runMonolith(n / 2, 4))(_.totalMs)
+    val mod  = best(3)(JoinBench.runModularis(n / 2, 4))(_.totalMs)
     assert(mono.rows == mod.rows, "both implementations must agree on the result")
     assert(mod.totalMs < mono.totalMs * 4.0,
       s"modular ${mod.totalMs} ms should be within 4x of monolith ${mono.totalMs} ms")

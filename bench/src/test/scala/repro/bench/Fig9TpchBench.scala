@@ -25,10 +25,10 @@ class Fig9TpchBench extends SparkSpec {
     val csv = VolcanoTpch.Tables.write(
       TpchLite.tables(spark, 0.05), Files.createTempDirectory("tpch-shape").toFile)
     val cfg = cluster(4, compress = false)
-    val modMs = best(3, 1) {
+    val modMs = best(3) {
       timeMs(TpchPlans.q4(TpchCsv.load(csv, 8, Set("lineitem", "orders")), cfg))._2
     }(identity)
-    val volMs = best(3, 1)(timeMs(VolcanoCsvEngine.run(VolcanoTpch.q4(csv)))._2)(identity)
+    val volMs = best(3)(timeMs(VolcanoCsvEngine.run(VolcanoTpch.q4(csv)))._2)(identity)
     assert(volMs > modMs,
       s"interpreted engine ($volMs ms) should be slower than Modularis read+exec ($modMs ms)")
   }

@@ -31,12 +31,12 @@ object BenchUtil {
     (r, (System.nanoTime() - t0) / 1e6)
   }
 
-  /** Run `warmup` discarded runs, collect the heap, then return the fastest
-    * of `n` runs by `ms` — the robust estimator on a shared JVM where major
-    * GCs land on random runs.
+  /** Run once discarded, collect the heap, then return the fastest of `n`
+    * runs by `ms` — the robust estimator on a shared JVM where major GCs
+    * land on random runs.
     */
-  def best[T](n: Int, warmup: Int)(run: => T)(ms: T => Double): T = {
-    (1 to warmup).foreach(_ => run)
+  def best[T](n: Int)(run: => T)(ms: T => Double): T = {
+    run
     System.gc()
     (1 to n).map(_ => run).minBy(ms)
   }

@@ -24,7 +24,7 @@ object GroupByBench {
   def bestRun(n: Int, machines: Int, dup: Int, reps: Int): (Double, Long) = {
     val c = cluster(machines)
     val parts = Workloads.shard(Workloads.densePairs(n, dup, seed = 7), c.nRanks)
-    best(reps, 1)(runOn(parts, c))(_._1)
+    best(reps)(runOn(parts, c))(_._1)
   }
 
   /** Fig 7 left: runtime vs machines, each key occurring once. */

@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.core.RowVec
 import repro.monolith.MonolithicRadixJoin
-import repro.mpi.PhaseTimer
+import repro.mpi.{Phase, PhaseTimer}
 import repro.plans.{RadixJoinPlan, Workloads}
 import repro.plans.PlanPieces.DistConfig
 import repro.plans.RadixJoinPlan.JoinSpec
@@ -19,10 +19,11 @@ import BenchUtil._
   * is the best of 5 runs (robust under shared-JVM GC noise).
   */
 object JoinBench {
-  private val Phases = Seq("localHistogram", "globalHistogram", "networkPartition",
-    "localPartition", "buildProbe")
+  private val Phases = Phase.values.toVector.filter(_ != Phase.aggregate) // the monolith's five
 
-  final case class RunResult(totalMs: Double, phasesMs: Map[String, Double], rows: Long)
+  /** Per phase the slowest rank's ms; `phaseSumMs` is one rank's largest sum, at most `totalMs`. */
+  final case class RunResult(
+      totalMs: Double, phasesMs: Map[Phase.Value, Double], phaseSumMs: Double, rows: Long)
 
   private def inputs(n: Int, c: DistConfig): (Vector[RowVec], Vector[RowVec]) = {
     val r = Workloads.shard(Workloads.densePairs(n, 1, seed = 1), c.nRanks)
@@ -31,21 +32,22 @@ object JoinBench {
     (r, s)
   }
 
-  private def phasesMs(timers: Seq[PhaseTimer]): Map[String, Double] =
-    PhaseTimer.maxAcross(timers).map { case (k, v) => k -> v / 1e6 }
+  private def result(ms: Double, timers: Seq[PhaseTimer], rows: Long): RunResult =
+    RunResult(ms, PhaseTimer.maxAcross(timers).map { case (k, v) => k -> v / 1e6 },
+      timers.map(_.snapshot.values.sum).max / 1e6, rows)
 
   private def runMonolithOn(r: Vector[RowVec], s: Vector[RowVec], c: DistConfig): RunResult = {
     val (results, ms) = timeMs {
       MonolithicRadixJoin.run(r, s, c.nRanks, c.net, c.netBits, c.localBits)
     }
-    RunResult(ms, phasesMs(results.map(_.timer)), MonolithicRadixJoin.totalRows(results))
+    result(ms, results.map(_.timer), MonolithicRadixJoin.totalRows(results))
   }
 
   private def runModularisOn(r: Vector[RowVec], s: Vector[RowVec], c: DistConfig): RunResult = {
     val (stream, exec) = RadixJoinPlan.driver(
       r, s, Workloads.pairTypeNamed("rv"), Workloads.pairTypeNamed("sv"), JoinSpec(c))
     val (rows, ms) = drainTimed(stream)
-    RunResult(ms, phasesMs(exec.lastRuntime.lastContexts.map(_.timer)), rows)
+    result(ms, exec.lastRuntime.lastContexts.map(_.timer), rows)
   }
 
   def runMonolith(n: Int, machines: Int): RunResult = {
@@ -62,23 +64,23 @@ object JoinBench {
   private def measure(n: Int, machines: Int): (RunResult, RunResult) = {
     val c = cluster(machines)
     val (r, s) = inputs(n, c)
-    val mono = best(5, 1)(runMonolithOn(r, s, c))(_.totalMs)
-    val mod  = best(5, 1)(runModularisOn(r, s, c))(_.totalMs)
+    val mono = best(5)(runMonolithOn(r, s, c))(_.totalMs)
+    val mod  = best(5)(runModularisOn(r, s, c))(_.totalMs)
     require(mono.rows == mod.rows, s"monolith ${mono.rows} != modularis ${mod.rows}")
     (mono, mod)
   }
 
-  /** Fig 6a: per-phase breakdown at the given machine counts. */
+  /** Fig 6a: per-phase breakdown at the given machine counts, then how much of the query they cover. */
   def fig6a(n: Int, machineCounts: Seq[Int]): String = {
     val results = machineCounts.map(m => m -> measure(n, m))
     val header = "phase" +: results.flatMap { case (m, _) =>
       Seq(s"monolith ${m}m (ms)", s"modularis ${m}m (ms)")
     }
-    val rows = Phases.map { p =>
-      p +: results.flatMap { case (_, (mono, mod)) =>
-        Seq(fmt(mono.phasesMs.getOrElse(p, 0.0)), fmt(mod.phasesMs.getOrElse(p, 0.0)))
-      }
-    }
+    def row(name: String)(ms: RunResult => Double): Seq[String] =
+      name +: results.flatMap { case (_, (mono, mod)) => Seq(fmt(ms(mono)), fmt(ms(mod))) }
+    val rows = Phases.map(p => row(p.toString)(_.phasesMs(p))) ++ Seq(
+      row("sum of phases (max over ranks)")(_.phaseSumMs),
+      row("query total")(_.totalMs))
     table(s"Fig 6a — join phase breakdown (n=$n tuples/relation)", header, rows)
   }
 

@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.core.RowVec
+import repro.mpi.Phase
 import repro.plans.{JoinSequencePlan, Workloads}
 import repro.plans.PlanPieces.DistConfig
 import BenchUtil._
@@ -29,7 +30,7 @@ object JoinSeqBench {
     val (stream, exec) = JoinSequencePlan.driver(rels, c, optimized)
     val (rows, ms) = drainTimed(stream)
     val ctxs = exec.lastRuntime.lastContexts
-    val netMs = ctxs.map(_.timer.nanos("networkPartition")).max / 1e6
+    val netMs = ctxs.map(_.timer.nanos(Phase.networkPartition)).max / 1e6
     val bytes = ctxs.map(c0 => c0.stats.bytesCross + c0.stats.bytesLocal).sum
     SeqResult(ms, netMs, bytes, rows)
   }
@@ -46,7 +47,7 @@ object JoinSeqBench {
               reps: Int = 3): SeqResult = {
     val c = cluster(machines)
     val rels = relations(n, nRel, dup, c)
-    best(reps, 1)(runOn(rels, c, optimized))(_.totalMs)
+    best(reps)(runOn(rels, c, optimized))(_.totalMs)
   }
 
   /** Fig 8a: 2-join sequence (3 relations), naive vs optimized vs machines. */

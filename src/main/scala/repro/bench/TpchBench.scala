@@ -73,7 +73,7 @@ object TpchBench {
     val data = TpchCsv.load(csv, cfg.nRanks)
     val duck = duckLoad(csv)
 
-    def bestMs(f: => Any): Double = best(3, 1)(timeMs(f)._2)(identity)
+    def bestMs(f: => Any): Double = best(3)(timeMs(f)._2)(identity)
     val neededTables = Map(
       "Q4" -> Set("lineitem", "orders"), "Q12" -> Set("lineitem", "orders"),
       "Q14" -> Set("lineitem", "part"), "Q19" -> Set("lineitem", "part"))

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.mpi.{Phase, PhaseTimer}
+
 /** Map (paper §3.3.2): applies `f` to each upstream tuple. The static output
   * type of `f` is supplied at construction (the paper derives it from the
   * UDF's Numba signature; we state it explicitly).
@@ -77,28 +79,15 @@ final class FilterOp(up: SubOp, pred: Array[Any] => Boolean) extends SubOp {
   override def close(): Unit = up.close()
 }
 
-/** Transparent wrapper adding one span per open to a named phase: from
-  * `open()` to the first `next()` that returns null, or to `close()` if the
-  * consumer stops early. The span includes the upstream's work and the
-  * consumer's work between `next()` calls; the clock is read twice per open,
+/** Charges its upstream's `open()` to a phase of the rank's timer; `next`
+  * and `close` just forward. Every phase is the `open()` of an operator
+  * that does all its work there, so the clock is read twice per open,
   * never per tuple. The benches read these for the paper's Fig 6 phase
   * breakdown.
   */
-final class Timed(up: SubOp, timer: repro.mpi.PhaseTimer, phase: String) extends SubOp {
+final class Timed(up: SubOp, timer: PhaseTimer, phase: Phase.Value) extends SubOp {
   override val outType: TupleType = up.outType
-  private var t0 = 0L
-  private var running = false
-  override def open(): Unit = {
-    t0 = System.nanoTime()
-    running = true
-    up.open()
-  }
-  override def next(): Array[Any] = {
-    val t = up.next()
-    if (t == null) stop()
-    t
-  }
-  override def close(): Unit = { stop(); up.close() }
-  private def stop(): Unit =
-    if (running) { timer.add(phase, System.nanoTime() - t0); running = false }
+  override def open(): Unit = timer.time(phase)(up.open())
+  override def next(): Array[Any] = up.next()
+  override def close(): Unit = up.close()
 }

@@ -64,7 +64,7 @@ object MonolithicRadixJoin {
     val bytesPerTuple = 8 // compressed 64-bit words on the wire
 
     // ---- Phase 1a: local histograms, both relations back to back. --------
-    val (hr, hs) = ctx.timer.time("localHistogram") {
+    val (hr, hs) = ctx.timer.time(Phase.localHistogram) {
       val hr = new Array[Long](netFan)
       val hs = new Array[Long](netFan)
       var i = 0
@@ -76,12 +76,12 @@ object MonolithicRadixJoin {
 
     // ---- Phase 1b: global histograms — both allreduces adjacent, so the
     // collectives of the two relations run "almost at the same time" (§5.1.2).
-    val (ghr, ghs) = ctx.timer.time("globalHistogram") {
+    val (ghr, ghs) = ctx.timer.time(Phase.globalHistogram) {
       (ctx.allReduceSum(hr), ctx.allReduceSum(hs))
     }
 
     // ---- Phase 2: network partitioning with compression. -----------------
-    val (rWin, sWin, rBase, sBase) = ctx.timer.time("networkPartition") {
+    val (rWin, sWin, rBase, sBase) = ctx.timer.time(Phase.networkPartition) {
       val cr = ctx.allGather(hr)
       val cs = ctx.allGather(hs)
 
@@ -187,14 +187,14 @@ object MonolithicRadixJoin {
         out
       }
 
-    val (rSub, sSub) = ctx.timer.time("localPartition") {
+    val (rSub, sSub) = ctx.timer.time(Phase.localPartition) {
       (localRepartition(rWin, rBase, ghr), localRepartition(sWin, sBase, ghs))
     }
 
     // ---- Phase 4: build and probe per cache-sized sub-partition. ----------
     // The bucket-chained table of BuildProbe (head/chain arrays, chains in
     // build order), inlined on the unboxed key-high bits `keyHi(c)`.
-    ctx.timer.time("buildProbe") {
+    ctx.timer.time(Phase.buildProbe) {
       val out = new ArrayBuffer[Array[Any]]()
       var pi = 0
       while (pi < myParts.length) {

@@ -58,11 +58,6 @@ final class MpiExchange(
   override def open(): Unit = {
     val lh = Histograms.toArray(localHist, nPart)
     val gh = Histograms.toArray(globalHist, nPart)
-    owned = ctx.timer.time("networkPartition") { exchange(lh, gh) }
-    i = 0
-  }
-
-  private def exchange(lh: Array[Long], gh: Array[Long]): Vector[Array[Any]] = {
     val n = ctx.nRanks
     // Every rank's local histogram: counts(rank)(partition).
     val counts = ctx.allGather(lh)
@@ -125,12 +120,13 @@ final class MpiExchange(
     ctx.fence(win)
 
     val mine = win.local(ctx.rank)
-    (0 until nPart).filter(ownerOf(_) == ctx.rank).map { pid =>
+    owned = (0 until nPart).filter(ownerOf(_) == ctx.rank).map { pid =>
       Array[Any](
         pid,
         new RowSlice(mine, partBase(pid).toInt, gh(pid).toInt): RowVec,
       )
     }.toVector
+    i = 0
   }
 
   override def next(): Array[Any] =

@@ -1,35 +1,46 @@
 package repro.mpi
 
-import scala.collection.mutable
+/** The phases of the paper's Fig 6 breakdown, plus GROUP BY's aggregate;
+  * their names are the metric names the benches report.
+  */
+object Phase extends Enumeration {
+  val localHistogram, globalHistogram, networkPartition, localPartition, buildProbe, aggregate = Value
+}
 
-/** Per-rank named wall-time accumulators, used to reproduce the paper's
-  * Fig 6 phase breakdown (localHistogram / globalHistogram /
-  * networkPartition / localPartition / buildProbe). Single-writer (the
-  * owning rank thread); the driver reads after the runtime joins.
+/** Per-rank exclusive wall time per [[Phase]]: a span pauses the span it
+  * runs inside, so a rank's phases never add up to more than its wall time.
+  * Single-writer (the owning rank thread); the driver reads after the
+  * runtime joins.
   */
 final class PhaseTimer {
-  private val acc = mutable.LinkedHashMap.empty[String, Long]
+  private val acc = new Array[Long](Phase.maxId)
+  private var current = -1 // id of the running phase, -1 outside every span
+  private var mark = 0L    // when `current` was last charged
 
-  def add(phase: String, nanos: Long): Unit =
-    acc.update(phase, acc.getOrElse(phase, 0L) + nanos)
-
-  def time[T](phase: String)(f: => T): T = {
-    val t0 = System.nanoTime()
-    try f
-    finally add(phase, System.nanoTime() - t0)
+  def time[T](phase: Phase.Value)(f: => T): T = {
+    val outer = current
+    switchTo(phase.id)
+    try f finally switchTo(outer)
   }
 
-  def nanos(phase: String): Long = acc.getOrElse(phase, 0L)
-  def phases: Vector[String] = acc.keys.toVector
-  def snapshot: Map[String, Long] = acc.toMap
+  private def switchTo(id: Int): Unit = {
+    val now = System.nanoTime()
+    if (current >= 0) acc(current) += now - mark
+    current = id
+    mark = now
+  }
+
+  def nanos(phase: Phase.Value): Long = acc(phase.id)
+  def nanos(phase: String): Long = nanos(Phase.withName(phase))
+  /** The names of the phases charged so far, in phase order. */
+  def phases: Vector[String] = Phase.values.toVector.filter(nanos(_) > 0).map(_.toString)
+  def snapshot: Map[String, Long] = phases.map(p => p -> nanos(p)).toMap
 }
 
 object PhaseTimer {
   /** Critical-path aggregation across ranks: max per phase (the paper's
     * breakdown reports the slowest process per phase).
     */
-  def maxAcross(timers: Seq[PhaseTimer]): Map[String, Long] = {
-    val keys = timers.flatMap(_.phases).distinct
-    keys.map(k => k -> timers.map(_.nanos(k)).max).toMap
-  }
+  def maxAcross(timers: Seq[PhaseTimer]): Map[Phase.Value, Long] =
+    Phase.values.toVector.map(p => p -> timers.map(_.nanos(p)).max).toMap
 }

@@ -30,13 +30,10 @@ object JoinSequencePlan {
   def optimizedRankPlan(slot: ParamSlot, ctx: MpiContext, cfg: DistConfig, nRel: Int): SubOp = {
     require(nRel >= 2)
     val sides = (0 until nRel).map(i => scanField(slot, relField(i)) -> cfg.compress)
-    partitioned(sides, slot, ctx, cfg) { (s, restore) =>
+    partitioned(sides, slot, ctx, cfg, Phase.buildProbe) { (s, restore) =>
       // Chain: output of the (i-1)-th BuildProbe probes the i-th (§4.2).
-      // One span over the whole chain: a span per BuildProbe would nest
-      // inside the next one's and count its time twice.
       val key = Seq(s(0).outType.fieldNames.head)
-      val chain = s.tail.foldLeft(s(0))((chain, rel) => new BuildProbe(rel, chain, key, JoinKind.Inner))
-      restore(new Timed(chain, ctx.timer, "buildProbe"))
+      restore(s.tail.foldLeft(s(0))((chain, rel) => new BuildProbe(rel, chain, key, JoinKind.Inner)))
     }
   }
 
@@ -48,9 +45,8 @@ object JoinSequencePlan {
     // the next base relation under a fresh epoch placement, then join.
     (2 until nRel).foldLeft(first) { (cur, j) =>
       val sides = Seq(cur -> false, scanField(slot, relField(j)) -> cfg.compress)
-      partitioned(sides, slot, ctx, cfg, ownerShift = j - 1) { (s, restore) =>
-        new Timed(
-          new BuildProbe(restore(s(1)), s(0), Seq("k"), JoinKind.Inner), ctx.timer, "buildProbe")
+      partitioned(sides, slot, ctx, cfg, Phase.buildProbe, ownerShift = j - 1) { (s, restore) =>
+        new BuildProbe(restore(s(1)), s(0), Seq("k"), JoinKind.Inner)
       }
     }
   }

@@ -52,8 +52,9 @@ object PlanPieces {
   /** The paper's histogram-then-exchange pipeline (upper part of Fig 3):
     * Shared(keyed) → LocalHistogram → MpiHistogram → MpiExchange. The keyed
     * stream is materialized once per invocation of `scope`, the rank's slot
-    * (pipeline cut: it has two consumers). Returns the ⟨npid, data⟩ stream
-    * of partitions owned by this rank.
+    * (pipeline cut: it has two consumers), inside localHistogram: each
+    * operator's `open()` does all its work and is timed as its phase.
+    * Returns the ⟨npid, data⟩ stream of partitions owned by this rank.
     */
   def exchangePipeline(
       keyed: SubOp,
@@ -66,10 +67,11 @@ object PlanPieces {
     val netPart = netPartOf(cfg)
     val sh = new Shared(keyed, scope)
     val lh = new Shared(
-      new Timed(new LocalHistogram(sh.scan, cfg.netFan, netPart), ctx.timer, "localHistogram"),
+      new Timed(new LocalHistogram(sh.scan, cfg.netFan, netPart), ctx.timer, Phase.localHistogram),
       scope)
-    val gh = new MpiHistogram(lh.scan, cfg.netFan, ctx)
-    new MpiExchange(sh.scan, lh.scan, gh, cfg.netFan, netPart, ctx, compress, ownerShift)
+    val gh = new Timed(new MpiHistogram(lh.scan, cfg.netFan, ctx), ctx.timer, Phase.globalHistogram)
+    val ex = new MpiExchange(sh.scan, lh.scan, gh, cfg.netFan, netPart, ctx, compress, ownerShift)
+    new Timed(ex, ctx.timer, Phase.networkPartition)
   }
 
   /** The local partitioning motif inside the first NestedMap of Figs 3/5:
@@ -92,7 +94,7 @@ object PlanPieces {
     val sh   = new Shared(scanField(slot1, dataField), slot1)
     val lh   = new LocalHistogram(sh.scan, cfg.localFan, part)
     val lp   = new Timed(
-      new LocalPartitioning(sh.scan, lh, cfg.localFan, part), ctx.timer, "localPartition")
+      new LocalPartitioning(sh.scan, lh, cfg.localFan, part), ctx.timer, Phase.localPartition)
     new CartesianProduct(
       new Projection(new ParameterLookup(slot1), Seq(npidField)),
       new Rename(lp, Seq(lpidName, dataName)),
@@ -151,15 +153,17 @@ object PlanPieces {
     * `body` also gets `restore`, which turns a leading `khi` back into the
     * full key `k` from `npid0` and leaves any other stream as it is.
     *
-    * The body's result is materialized per sub-partition, and `levelAgg`
-    * runs after each unnesting. `slot` is the rank's slot, the scope of the
-    * exchanges. Returns the flattened per-rank stream.
+    * The body's result is materialized per sub-partition, and that
+    * materialization is timed as `phase`. `levelAgg` runs after each
+    * unnesting. `slot` is the rank's slot, the scope of the exchanges.
+    * Returns the flattened per-rank stream.
     */
   def partitioned(
       sides: Seq[(SubOp, Boolean)],
       slot: ParamSlot,
       ctx: MpiContext,
       cfg: DistConfig,
+      phase: Phase.Value,
       ownerShift: Int = 0,
       levelAgg: SubOp => SubOp = id,
   )(body: (Seq[SubOp], SubOp => SubOp) => SubOp): SubOp = {
@@ -182,7 +186,7 @@ object PlanPieces {
         }
         val restore: SubOp => SubOp = up =>
           if (up.outType.fieldNames.head == "khi") restoreKeys(up, slot2, "npid0", cfg) else up
-        new MaterializeRowVector(body(streams, restore), "data")
+        new Timed(new MaterializeRowVector(body(streams, restore), "data"), ctx.timer, phase)
       })
       new MaterializeRowVector(levelAgg(new RowScan(nm2, "data")), "data")
     })

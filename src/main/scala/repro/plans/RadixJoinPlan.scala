@@ -37,11 +37,11 @@ object RadixJoinPlan {
       fieldS: String = "s",
   ): SubOp = {
     val sides = Seq(spec.preR(scanField(slot, fieldR)), spec.preS(scanField(slot, fieldS)))
-    partitioned(sides.map(_ -> spec.cfg.compress), slot, ctx, spec.cfg, levelAgg = spec.levelAgg) {
-      (s, restore) =>
-        // Both sides share the join attribute: "khi" compressed, "k" raw.
-        val bp = new BuildProbe(s(0), s(1), Seq(s(0).outType.fieldNames.head), spec.kind)
-        spec.levelAgg(spec.postJoin(restore(new Timed(bp, ctx.timer, "buildProbe"))))
+    partitioned(sides.map(_ -> spec.cfg.compress), slot, ctx, spec.cfg, Phase.buildProbe,
+        levelAgg = spec.levelAgg) { (s, restore) =>
+      // Both sides share the join attribute: "khi" compressed, "k" raw.
+      val bp = new BuildProbe(s(0), s(1), Seq(s(0).outType.fieldNames.head), spec.kind)
+      spec.levelAgg(spec.postJoin(restore(bp)))
     }
   }
 

@@ -3,6 +3,8 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import TestData._
 
+import repro.mpi.{Phase, PhaseTimer}
+
 class BasicOpsSpec extends AnyFunSuite {
 
   test("VectorSource emits all rows in order and supports re-open") {
@@ -145,22 +147,29 @@ class BasicOpsSpec extends AnyFunSuite {
   }
 
   test("Timed accumulates into the named phase and is transparent") {
-    val timer = new repro.mpi.PhaseTimer
-    val t = new Timed(src(1L -> 1L, 2L -> 2L), timer, "p")
-    assert(t.drain().size == 2)
-    assert(timer.nanos("p") > 0)
+    val timer = new PhaseTimer
+    val t = new Timed(src(1L -> 1L, 2L -> 2L), timer, Phase.buildProbe)
+    assert(asPairs(t.drain().toSeq) == Seq(1L -> 1L, 2L -> 2L))
+    assert(timer.nanos(Phase.buildProbe) > 0)
   }
 
-  test("Timed spans open to exhaustion, or to close when the consumer stops early") {
-    val timer = new repro.mpi.PhaseTimer
-    val t = new Timed(src(1L -> 1L, 2L -> 2L), timer, "p")
+  test("Timed times exactly its upstream's open()") {
+    val timer = new PhaseTimer
+    val rows = src(1L -> 1L, 2L -> 2L)
+    val slowOpen = new SubOp {
+      override val outType: TupleType = rows.outType
+      override def open(): Unit = { Thread.sleep(30); rows.open() }
+      override def next(): Array[Any] = rows.next()
+      override def close(): Unit = rows.close()
+    }
+    val t = new Timed(slowOpen, timer, Phase.localPartition)
+    val t0 = System.nanoTime()
     t.open()
+    val openNanos = System.nanoTime() - t0
+    val charged = timer.nanos(Phase.localPartition)
+    assert(charged >= 30_000_000L && charged <= openNanos)
     while (t.next() != null) Thread.sleep(20) // consumer work between next() calls
-    val full = timer.nanos("p")
-    assert(full >= 40_000_000L)
     t.close()
-    assert(timer.nanos("p") == full) // the span ended at the null, not again at close
-    t.open(); t.next(); Thread.sleep(20); t.close()
-    assert(timer.nanos("p") >= full + 20_000_000L)
+    assert(timer.nanos(Phase.localPartition) == charged)
   }
 }

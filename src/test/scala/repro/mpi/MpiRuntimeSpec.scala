@@ -161,20 +161,68 @@ class MpiRuntimeSpec extends AnyFunSuite {
 
   test("PhaseTimer accumulates and maxAcross takes per-phase maxima") {
     val t1 = new PhaseTimer; val t2 = new PhaseTimer
-    t1.add("a", 100); t1.add("a", 50); t2.add("a", 300); t2.add("b", 10)
-    assert(t1.nanos("a") == 150)
+    t1.time(Phase.localHistogram)(Thread.sleep(2))
+    val once = t1.nanos(Phase.localHistogram)
+    t1.time(Phase.localHistogram)(Thread.sleep(2))
+    assert(once >= 2_000_000L && t1.nanos(Phase.localHistogram) >= once + 2_000_000L)
+    t2.time(Phase.localHistogram)(Thread.sleep(5)); t2.time(Phase.globalHistogram)(Thread.sleep(1))
     val m = PhaseTimer.maxAcross(Seq(t1, t2))
-    assert(m("a") == 300 && m("b") == 10)
+    assert(m(Phase.localHistogram) ==
+      math.max(t1.nanos(Phase.localHistogram), t2.nanos(Phase.localHistogram)))
+    assert(m(Phase.globalHistogram) == t2.nanos(Phase.globalHistogram))
+    assert(m(Phase.aggregate) == 0)
+  }
+
+  test("a nested PhaseTimer span pauses the enclosing one") {
+    val t = new PhaseTimer
+    val t0 = System.nanoTime()
+    t.time(Phase.networkPartition) {
+      Thread.sleep(10)
+      t.time(Phase.globalHistogram)(Thread.sleep(50))
+    }
+    val wall = System.nanoTime() - t0
+    val outer = t.nanos(Phase.networkPartition)
+    val inner = t.nanos(Phase.globalHistogram)
+    assert(inner >= 50_000_000L)
+    assert(outer >= 10_000_000L && outer < 50_000_000L, s"outer span charged $outer ns")
+    assert(outer + inner <= wall)
+  }
+
+  test("a PhaseTimer span whose body throws still closes") {
+    val t = new PhaseTimer
+    intercept[IllegalStateException](t.time(Phase.buildProbe) {
+      Thread.sleep(5)
+      throw new IllegalStateException("body failed")
+    })
+    val charged = t.nanos(Phase.buildProbe)
+    assert(charged >= 5_000_000L)
+    t.time(Phase.aggregate)(Thread.sleep(5))
+    assert(t.nanos(Phase.buildProbe) == charged) // the next span does not run inside it
+  }
+
+  test("PhaseTimer reads by the Phase names the benches report") {
+    assert(Phase.values.toSeq.map(_.toString) == Seq("localHistogram", "globalHistogram",
+      "networkPartition", "localPartition", "buildProbe", "aggregate"))
+    val t = new PhaseTimer
+    t.time(Phase.localPartition)(Thread.sleep(1))
+    t.time(Phase.buildProbe)(Thread.sleep(1))
+    assert(t.phases == Vector("localPartition", "buildProbe"))
+    assert(t.nanos("buildProbe") == t.nanos(Phase.buildProbe))
+    assert(t.snapshot == Map("localPartition" -> t.nanos(Phase.localPartition),
+      "buildProbe" -> t.nanos(Phase.buildProbe)))
   }
 
   test("simulated wire time accrues for cross-machine puts") {
     val cfg = NetConfig(ranksPerMachine = 1, crossBytesPerSec = 1_000_000L, msgLatencyNanos = 1000)
+    val bytes = 1000L
     val rt = new MpiRuntime(2, cfg)
     rt.run { ctx =>
       val win = ctx.winCreate(2)
-      ctx.put(win, 1 - ctx.rank, ctx.rank, Array(Array[Any](0L)), 1, 1_000_000L)
+      ctx.put(win, 1 - ctx.rank, ctx.rank, Array(Array[Any](0L)), 1, bytes)
       ctx.fence(win)
     }
-    rt.lastContexts.foreach(c => assert(c.stats.simulatedWireNanos >= 1_000_000_000L))
+    val expected = (bytes * 1e9 / cfg.crossBytesPerSec).toLong + cfg.msgLatencyNanos
+    assert(expected == 1_001_000L)
+    rt.lastContexts.foreach(c => assert(c.stats.simulatedWireNanos == expected))
   }
 }

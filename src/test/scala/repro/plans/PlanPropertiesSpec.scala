@@ -7,7 +7,7 @@ import scala.collection.mutable.ArrayBuffer
 
 import repro.core._
 import repro.monolith.MonolithicRadixJoin
-import repro.mpi.NetConfig
+import repro.mpi.{MpiExecutor, NetConfig}
 import repro.plans.PlanPieces.DistConfig
 import repro.plans.RadixJoinPlan.JoinSpec
 
@@ -129,5 +129,30 @@ class PlanPropertiesSpec extends AnyFunSuite {
         intercept[IllegalArgumentException](run(optimized = false))
       } else assert(run(optimized = true) == run(optimized = false))
     }
+  }
+
+  test("no rank's phases add up to more than the query's wall time") {
+    // A naive stage's whole upstream runs inside its localHistogram span,
+    // and four relations nest it twice: nested time must count once.
+    val c = cfg(2, compress = true)
+    val rels = (0 until 4).map(i =>
+      Workloads.shard(Workloads.densePairs(100_000, 1, seed = 100 + i), 2)).toVector
+    def check(plan: String)(built: (SubOp, MpiExecutor)): Unit = {
+      val (stream, exec) = built
+      val t0 = System.nanoTime()
+      stream.drain()
+      val wall = System.nanoTime() - t0
+      exec.lastRuntime.lastContexts.foreach { ctx =>
+        val sum = ctx.timer.snapshot.values.sum
+        assert(sum <= wall, s"$plan: rank ${ctx.rank} phases sum to ${sum / 1e6} ms in a ${wall / 1e6} ms query")
+      }
+    }
+    for (nRel <- Seq(3, 4))
+      check(s"naive $nRel-relation sequence")(JoinSequencePlan.driver(rels.take(nRel), c, optimized = false))
+    check("optimized sequence")(JoinSequencePlan.driver(rels, c, optimized = true))
+    val Vector(r, s, _, _) = rels
+    check("radix join")(RadixJoinPlan.driver(r, s,
+      Workloads.pairTypeNamed("rv"), Workloads.pairTypeNamed("sv"), JoinSpec(c)))
+    check("GROUP BY")(GroupByPlan.driver(r, Workloads.PairType, c))
   }
 }
