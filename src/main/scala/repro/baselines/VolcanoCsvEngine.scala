@@ -109,7 +109,8 @@ object VolcanoCsvEngine {
     def iterator: Iterator[Row] = {
       val types = schema.cols.map(_._2)
       val src = Source.fromFile(file)
-      src.getLines().map { line =>
+      // `++` evaluates its operand only once the lines run out: close there.
+      (src.getLines() ++ { src.close(); Iterator.empty }).map { line =>
         val parts = line.split('|')
         val row = new Array[Any](types.size)
         var i = 0

@@ -55,19 +55,16 @@ object TpchLite {
       .withColumn("p_brand", pick(Brands, seed + 10))
       .withColumn("p_container", pick(Containers, seed + 11))
 
-  def customer(spark: SparkSession, sf: Double = 0.01, seed: Long = 2): DataFrame =
-    SynthData.customer(spark, sf, seed)
-
-  /** All four tables, cached (the generators are lazy Spark plans whose
-    * values would otherwise be regenerated — and with `rand` seeds, possibly
-    * re-partitioned — between the oracle load and the query run).
+  /** The three tables the queries read, cached (the generators are lazy
+    * Spark plans whose values would otherwise be regenerated — and with
+    * `rand` seeds, possibly re-partitioned — between the oracle load and the
+    * query run).
     */
   def tables(spark: SparkSession, sf: Double): Map[String, DataFrame] = {
     val t = Map(
       "lineitem" -> lineitem(spark, sf),
       "orders"   -> orders(spark, sf),
       "part"     -> part(spark, sf),
-      "customer" -> customer(spark, sf),
     )
     t.foreach { case (_, df) => df.cache().count() }
     t

@@ -3,8 +3,8 @@ package repro.sparkext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{
-  Alias, Attribute, AttributeReference, BindReferences, Cast, Expression,
-  GenericInternalRow, If, IsNull, Literal, NamedExpression, UnsafeProjection}
+  Attribute, AttributeSet, BindReferences, Cast, Expression, GenericInternalRow, If, IsNull,
+  Literal, NamedExpression, UnsafeProjection}
 import org.apache.spark.sql.catalyst.expressions.aggregate.{
   AggregateExpression, Count, Sum}
 import org.apache.spark.sql.catalyst.plans.physical.{
@@ -21,34 +21,31 @@ import repro.core._
   * the same operator that runs on the simulated RDMA cluster.
   *
   * Supported shape (checked by [[ModularisStrategy]]): grouping on
-  * attributes; aggregates are non-distinct, unfiltered SUM/COUNT.
+  * attributes; aggregates are non-distinct, unfiltered SUM/COUNT. The
+  * result expressions (as `PhysicalAggregation` gives them: over the
+  * grouping attributes and each aggregate's `resultAttribute`) may combine
+  * both arbitrarily.
   */
 case class ModularisAggExec(
-    groupingExprs: Seq[Attribute],
+    grouping: Seq[Attribute],
+    aggs: Seq[AggregateExpression],
     resultExprs: Seq[NamedExpression],
     child: SparkPlan,
 ) extends UnaryExecNode {
 
   override def output: Seq[Attribute] = resultExprs.map(_.toAttribute)
 
+  override def producedAttributes: AttributeSet = AttributeSet(aggs.map(_.resultAttribute))
+
   override def requiredChildDistribution: Seq[Distribution] =
-    if (groupingExprs.isEmpty) AllTuples :: Nil
-    else ClusteredDistribution(groupingExprs) :: Nil
+    if (grouping.isEmpty) AllTuples :: Nil
+    else ClusteredDistribution(grouping) :: Nil
 
   override protected def withNewChildInternal(newChild: SparkPlan): SparkPlan =
     copy(child = newChild)
 
-  /** Each result column in order: Left(i) = grouping column i, Right = an aggregate. */
-  private lazy val plan: Seq[Either[Int, AggregateExpression]] = resultExprs.map {
-    case Alias(ae: AggregateExpression, _) => Right(ae)
-    case ar: AttributeReference            => Left(groupingExprs.indexWhere(_.exprId == ar.exprId))
-    case Alias(ar: AttributeReference, _)  => Left(groupingExprs.indexWhere(_.exprId == ar.exprId))
-    case other => throw new IllegalStateException(s"unsupported result expression $other")
-  }
-
   override protected def doExecute(): RDD[InternalRow] = {
-    val boundGroup = groupingExprs.map(BindReferences.bindReference(_: Expression, child.output))
-    val aggs: Seq[AggregateExpression] = plan.collect { case Right(ae) => ae }
+    val boundGroup = grouping.map(BindReferences.bindReference(_: Expression, child.output))
     // Each aggregate's per-row contribution, already in its result type, so
     // that combining is one add: SUM(e) is e cast to the sum's type, COUNT(e)
     // is 1 for a non-null e and 0 otherwise (always 1 for COUNT(*)).
@@ -63,9 +60,9 @@ case class ModularisAggExec(
     val isDouble = aggs.map(_.dataType == DoubleType).toArray
     // SQL's result over no rows: NULL for SUM, 0 for COUNT.
     val emptyAccs: Array[Any] = aggs.map(_.aggregateFunction.defaultResult.map(_.value).orNull).toArray
-    val outTypes = output.map(_.dataType).toArray
-    val resultPlan = plan
-    val groupless = groupingExprs.isEmpty
+    val groupAndAggs = grouping ++ aggs.map(_.resultAttribute)
+    val results = resultExprs
+    val groupless = grouping.isEmpty
     val nAggs = aggs.size
 
     child.execute().mapPartitions { it =>
@@ -90,16 +87,12 @@ case class ModularisAggExec(
       val copied = it.map(r => init(r.copy()))
       val src = new IterSource(() => copied, elemT)
       val rbk = new ReduceByKey(src, "g", combine)
-      val toUnsafe = UnsafeProjection.create(outTypes)
+      val project = UnsafeProjection.create(results, groupAndAggs)
 
+      // One row ⟨group values, accumulators⟩ per group, projected onto the results.
       def emit(t: Array[Any]): InternalRow = {
         val groupVals = if (groupless) Vector.empty else t(0).asInstanceOf[Vector[Any]]
-        var ai = 0
-        val vals = resultPlan.map {
-          case Left(g)  => groupVals(g)
-          case Right(_) => ai += 1; t(ai)
-        }
-        toUnsafe(new GenericInternalRow(vals.toArray))
+        project(new GenericInternalRow((groupVals ++ t.tail).toArray))
       }
 
       val grouped = RowCodec.iterate(rbk).map(emit)

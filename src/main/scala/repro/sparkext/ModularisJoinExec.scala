@@ -3,7 +3,7 @@ package repro.sparkext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{
-  Attribute, BindReferences, Expression, JoinedRow, UnsafeProjection}
+  Attribute, BindReferences, Expression, JoinedRow, Predicate, UnsafeProjection}
 import org.apache.spark.sql.catalyst.plans.{Inner, JoinType, LeftAnti, LeftSemi}
 import org.apache.spark.sql.catalyst.plans.physical.{ClusteredDistribution, Distribution}
 import org.apache.spark.sql.execution.{BinaryExecNode, SparkPlan}
@@ -16,17 +16,20 @@ import repro.core._
   * `ClusteredDistribution` on the join keys, so `EnsureRequirements` inserts
   * co-partitioning exchanges), the per-partition task plays the role of the
   * MpiExecutor nested plan, and inside the task the *unchanged* core
-  * sub-operators (IterSource → BuildProbe) do the work. Only the "network
-  * operators" changed — exactly the paper's porting story.
+  * sub-operators (IterSource → BuildProbe, then FilterOp for an inner
+  * join's non-equi `condition`) do the work. Only the "network operators"
+  * changed — exactly the paper's porting story.
   */
 case class ModularisJoinExec(
     leftKeys: Seq[Expression],
     rightKeys: Seq[Expression],
     joinType: JoinType,
+    condition: Option[Expression],
     left: SparkPlan,
     right: SparkPlan,
 ) extends BinaryExecNode {
   require(leftKeys.nonEmpty && leftKeys.size == rightKeys.size)
+  require(joinType == Inner || condition.isEmpty, s"$joinType join with a residual condition")
 
   override def output: Seq[Attribute] = joinType match {
     case Inner               => left.output ++ right.output
@@ -47,6 +50,8 @@ case class ModularisJoinExec(
     val nKeys = leftKeys.size
     val outTypes = output.map(_.dataType).toArray
     val jt = joinType
+    val cond = condition
+    val joinedOutput = left.output ++ right.output
     // Tuple layout per side: ⟨k0..kJ, row⟩ — the evaluated join keys (they
     // may be expressions over columns), then the whole copied row as one
     // atom; `lrow`/`rrow` keep BuildProbe's field names distinct.
@@ -75,9 +80,16 @@ case class ModularisJoinExec(
 
       val toUnsafe = UnsafeProjection.create(outTypes)
       def row(t: Array[Any], i: Int) = t(nKeys + i).asInstanceOf[InternalRow]
+      val joined = new JoinedRow
+      def pair(t: Array[Any]) = joined(row(t, 0), row(t, 1))
       jt match {
-        // BuildProbe output: ⟨k*, lrow, rrow⟩.
-        case Inner => RowCodec.iterate(bp).map(t => toUnsafe(new JoinedRow(row(t, 0), row(t, 1))))
+        // BuildProbe output: ⟨k*, lrow, rrow⟩, filtered by the residual.
+        case Inner =>
+          val out = cond.fold(bp: SubOp) { c =>
+            val p = Predicate.create(c, joinedOutput)
+            new FilterOp(bp, t => p.eval(pair(t)))
+          }
+          RowCodec.iterate(out).map(t => toUnsafe(pair(t)))
         // Semi/Anti output: the probe (left) tuple ⟨k*, lrow⟩.
         case _     => RowCodec.iterate(bp).map(t => toUnsafe(row(t, 0)))
       }

@@ -22,6 +22,17 @@ class VolcanoEngineSpec extends SparkSpec {
     assert(r(ordSchema.idx("o_orderdate")).isInstanceOf[String])
   }
 
+  test("CsvScan closes its file once the scan is exhausted") {
+    val os = java.lang.management.ManagementFactory.getOperatingSystemMXBean
+      .asInstanceOf[com.sun.management.UnixOperatingSystemMXBean]
+    VolcanoCsvEngine.run(CsvScan(ordFile, ordSchema)) // writes the file first
+    val before = os.getOpenFileDescriptorCount
+    (1 to 50).foreach(_ => VolcanoCsvEngine.run(CsvScan(ordFile, ordSchema)))
+    // Unclosed, each scan would hold one descriptor until GC; allow some
+    // slack for descriptors other threads open meanwhile.
+    assert(os.getOpenFileDescriptorCount - before < 10)
+  }
+
   test("Filter + comparison expressions") {
     val i = ordSchema.idx("o_orderdate")
     val out = VolcanoCsvEngine.run(Filter(CsvScan(ordFile, ordSchema),

@@ -55,9 +55,9 @@ class TpchLiteSpec extends SparkSpec {
     assert(prt.count() == 400)
   }
 
-  test("tables() caches all four tables") {
+  test("tables() caches the three query tables") {
     val t = TpchLite.tables(spark, 0.001)
-    assert(t.keySet == Set("lineitem", "orders", "part", "customer"))
+    assert(t.keySet == Set("lineitem", "orders", "part"))
     t.values.foreach(df => assert(df.storageLevel.useMemory))
   }
 }

@@ -25,6 +25,14 @@ class ModularisExecSpec extends SparkSpec {
   private lazy val t2: DataFrame =
     SynthData.uniformKeys(spark, 500, 100, seed = 2)
       .withColumnRenamed("k", "k2").withColumnRenamed("v", "w").cache()
+  // t1/t2 with every fifth key null, on both sides.
+  private lazy val n1: DataFrame =
+    t1.select(when(col("k") % 5 =!= 0, col("k")) as "k", col("v")).cache()
+  private lazy val n2: DataFrame =
+    t2.select(when(col("k2") % 5 =!= 0, col("k2")) as "k2", col("w")).cache()
+
+  private def claims(df: DataFrame, op: String): Boolean =
+    df.queryExecution.executedPlan.toString.contains(op)
 
   test("equi-join is planned as ModularisJoinExec") {
     withStrategy {
@@ -66,9 +74,59 @@ class ModularisExecSpec extends SparkSpec {
       val df = t1.join(t2, t1("k") === t2("k2"), "left_anti")
       Oracle.assertEquivalent(
         df.select(col("k"), col("v")),
-        "SELECT k, CAST(v AS DOUBLE) AS v FROM t1 WHERE k NOT IN (SELECT k2 FROM t2)",
+        "SELECT k, CAST(v AS DOUBLE) AS v FROM t1 " +
+        "WHERE NOT EXISTS (SELECT 1 FROM t2 WHERE t2.k2 = t1.k)",
         "t1" -> t1, "t2" -> t2)
     }
+  }
+
+  test("inner join with a non-equi residual runs it as a FilterOp and matches DuckDB") {
+    withStrategy {
+      val df = t1.join(t2, t1("k") === t2("k2") && t1("v") < t2("w"))
+        .select(t1("k") as "k", t1("v") as "v", t2("w") as "w")
+      assert(claims(df, "ModularisJoin"))
+      Oracle.assertEquivalent(df,
+        "SELECT t1.k AS k, CAST(t1.v AS DOUBLE) AS v, CAST(t2.w AS DOUBLE) AS w " +
+        "FROM t1 JOIN t2 ON t1.k = t2.k2 AND CAST(t1.v AS DOUBLE) < CAST(t2.w AS DOUBLE)",
+        "t1" -> t1, "t2" -> t2)
+    }
+  }
+
+  test("semi and anti joins with a residual are left to Spark and stay correct") {
+    withStrategy {
+      val cond = t1("k") === t2("k2") && t1("v") < t2("w")
+      val exists = "EXISTS (SELECT 1 FROM t2 WHERE t2.k2 = t1.k " +
+        "AND CAST(t1.v AS DOUBLE) < CAST(t2.w AS DOUBLE))"
+      for ((jt, where) <- Seq("left_semi" -> exists, "left_anti" -> s"NOT $exists")) {
+        val df = t1.join(t2, cond, jt).select(col("k"), col("v"))
+        assert(!claims(df, "ModularisJoin"), jt)
+        Oracle.assertEquivalent(df,
+          s"SELECT k, CAST(v AS DOUBLE) AS v FROM t1 WHERE $where", "t1" -> t1, "t2" -> t2)
+      }
+    }
+  }
+
+  test("null join keys match nothing in inner, semi and anti joins") {
+    // Without this rule's inferred `isnotnull` filters, the null keys reach
+    // BuildProbe instead of being dropped before the join.
+    val rule = "spark.sql.optimizer.excludedRules"
+    spark.conf.set(rule, "org.apache.spark.sql.catalyst.optimizer.InferFiltersFromConstraints")
+    try withStrategy {
+      val on = n1("k") === n2("k2")
+      val inner = n1.join(n2, on).select(n1("k") as "k", n1("v") as "v", n2("w") as "w")
+      val semi = n1.join(n2, on, "left_semi").select(col("k"), col("v"))
+      val anti = n1.join(n2, on, "left_anti").select(col("k"), col("v"))
+      Seq(inner, semi, anti).foreach(df => assert(claims(df, "ModularisJoin")))
+      val tables = Seq("n1" -> n1, "n2" -> n2)
+      Oracle.assertEquivalent(inner,
+        "SELECT n1.k AS k, CAST(n1.v AS DOUBLE) AS v, CAST(n2.w AS DOUBLE) AS w " +
+        "FROM n1 JOIN n2 ON n1.k = n2.k2", tables: _*)
+      val matching = "(SELECT 1 FROM n2 WHERE n2.k2 = n1.k)"
+      Oracle.assertEquivalent(semi,
+        s"SELECT k, CAST(v AS DOUBLE) AS v FROM n1 WHERE EXISTS $matching", tables: _*)
+      Oracle.assertEquivalent(anti,
+        s"SELECT k, CAST(v AS DOUBLE) AS v FROM n1 WHERE NOT EXISTS $matching", tables: _*)
+    } finally spark.conf.unset(rule)
   }
 
   test("grouped aggregation is planned as ModularisAggExec") {
@@ -98,6 +156,20 @@ class ModularisExecSpec extends SparkSpec {
         "SELECT k, sum(CAST(i AS INT)) AS si, count(n) AS cn, " +
         "sum(CAST(n AS BIGINT)) AS sn FROM t3 GROUP BY k",
         "t3" -> t3)
+    }
+  }
+
+  test("arithmetic over aggregates is projected by ModularisAggExec and matches DuckDB") {
+    withStrategy {
+      val df = t1.groupBy("k").agg(sum("v") / count(lit(1)) as "mean", count(lit(1)) + 1 as "c1")
+      assert(claims(df, "ModularisAgg"))
+      Oracle.assertEquivalent(df,
+        "SELECT k, sum(CAST(v AS DOUBLE)) / count(*) AS mean, count(*) + 1 AS c1 " +
+        "FROM t1 GROUP BY k",
+        "t1" -> t1)
+      val empty = t1.filter("k < 0").agg(sum("v") / count(lit(1)) as "mean")
+      assert(claims(empty, "ModularisAgg"))
+      assert(empty.collect().toSeq.map(_.isNullAt(0)) == Seq(true))
     }
   }
 

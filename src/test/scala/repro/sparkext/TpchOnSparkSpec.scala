@@ -5,8 +5,9 @@ import repro.data.TpchLite
 import repro.plans.TpchPlans
 
 /** The paper's TPC-H queries (the SQL of [[TpchPlans.All]]) executed on
-  * Spark with the Modularis strategy injected — the join (incl. the Q4
-  * EXISTS→semi-join rewrite) runs on ModularisJoinExec; results
+  * Spark with the Modularis strategy injected — every query's join (incl.
+  * the Q4 EXISTS→semi-join rewrite and Q19's residual OR) runs on
+  * ModularisJoinExec and its aggregate on ModularisAggExec; results
   * oracle-checked against DuckDB running the same SQL.
   */
 class TpchOnSparkSpec extends SparkSpec {
@@ -28,14 +29,6 @@ class TpchOnSparkSpec extends SparkSpec {
     }
   }
 
-  private def oracleTables = Seq(
-    "lineitem" -> tables("lineitem"),
-    "orders"   -> tables("orders"),
-    "part"     -> tables("part"))
-
-  // Q19's join condition carries a two-sided OR, which the strategy does not
-  // claim, so Q19 runs on Spark's own join and gets no plan assertion.
-  private val onModularisJoin = Set("Q4", "Q12", "Q14")
   private val names =
     Map("Q4" -> "Q4 via Spark SQL uses ModularisJoinExec for the EXISTS semi-join")
 
@@ -43,9 +36,9 @@ class TpchOnSparkSpec extends SparkSpec {
     test(names.getOrElse(q, s"$q via Spark SQL matches DuckDB")) {
       withStrategy {
         val df = spark.sql(sql)
-        if (onModularisJoin(q))
-          assert(df.queryExecution.executedPlan.toString.contains("ModularisJoin"))
-        Oracle.assertEquivalent(df, sql, oracleTables: _*)
+        val plan = df.queryExecution.executedPlan.toString
+        assert(plan.contains("ModularisJoin") && plan.contains("ModularisAgg"), plan)
+        Oracle.assertEquivalent(df, sql, tables.toSeq: _*)
       }
     }
   }
