@@ -34,6 +34,24 @@ final class RowScan(up: SubOp, field: String) extends SubOp {
   }
 
   override def close(): Unit = { up.close(); cur = null }
+
+  /** Everything this scan emits, as one collection, from one pass over its
+    * input: the input's collection itself when the input yields exactly
+    * one, so an already materialized collection is not copied.
+    */
+  def collection(): RowVec = {
+    up.open()
+    val first = up.next()
+    var out: RowVec = if (first == null) ArrayBuffer.empty else first(idx).asInstanceOf[RowVec]
+    var t = if (first == null) null else up.next()
+    if (t != null) {
+      val buf = ArrayBuffer.from(out)
+      while (t != null) { buf ++= t(idx).asInstanceOf[RowVec]; t = up.next() }
+      out = buf
+    }
+    up.close()
+    out
+  }
 }
 
 /** MaterializeRowVector (paper §3.3.4): collects the upstream into a single
@@ -62,27 +80,34 @@ final class MaterializeRowVector(up: SubOp, field: String = "data") extends SubO
 /** Materialization point for multi-consumer DAG edges (paper §3.2 pipeline
   * cutting): the wrapped operator runs once per invocation of `scope`; each
   * consumer obtains an independent replay scan over the buffered result.
+  * A [[RowScan]] of a collection that is already materialized needs no
+  * buffer: its collection is replayed as it is.
   *
   * Plans are constructed once but nested plans are re-opened per input
   * tuple of their scope, so the buffer belongs to one invocation: the first
-  * consumer to open after `scope.epoch` changed re-drains `up`, and every
+  * consumer to open after `scope.epoch` changed re-runs `up`, and every
   * other open in the same invocation replays the buffer. A consumer may
   * skip an invocation or open more than once in it.
   */
 final class Shared(up: SubOp, scope: ParamSlot) {
-  private var buf: ArrayBuffer[Array[Any]] = _
+  private var buf: RowVec = _
   private var drainedAt = -1L
+
+  private def materialize(): RowVec = up match {
+    case rs: RowScan => rs.collection()
+    case _           => up.drain()
+  }
 
   def scan: SubOp = new SubOp {
     override val outType: TupleType = up.outType
     private var i = 0
     override def open(): Unit = {
-      if (drainedAt != scope.epoch) { buf = up.drain(); drainedAt = scope.epoch }
+      if (drainedAt != scope.epoch) { buf = materialize(); drainedAt = scope.epoch }
       i = 0
     }
     override def next(): Array[Any] = {
       val b = buf
-      if (i >= b.size) null else { val t = b(i); i += 1; t }
+      if (i >= b.length) null else { val t = b(i); i += 1; t }
     }
     override def close(): Unit = ()
     override def render: String = s"SharedScan(${up.render})"

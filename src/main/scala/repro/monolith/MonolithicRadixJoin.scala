@@ -17,8 +17,10 @@ import repro.mpi._
   * Phases (timed under the same names as the modular plan):
   * local histograms (both relations in one pass structure), one global
   * histogram epoch for both, network partitioning with write-combining
-  * buffers + radix compression, local re-partitioning, build-probe with
-  * key-bit recovery.
+  * buffers + radix compression into the same word windows as
+  * [[MpiExchange]], ending with the same unpack of each received word into
+  * a ⟨khi, v⟩ row, local re-partitioning, build-probe with key-bit
+  * recovery.
   */
 object MonolithicRadixJoin {
 
@@ -54,14 +56,13 @@ object MonolithicRadixJoin {
       netBits: Int,
       localBits: Int,
   ): ArrayBuffer[Array[Any]] = {
-    import MpiExchange.{keyHi, pack, restoreKey, value}
+    import MpiExchange.{WordBytes, pack, restoreKey, unpack}
     val batchRows = MpiExchange.BatchRows
     val netFan  = 1 << netBits
     val netMask = netFan - 1
     val localFan  = 1 << localBits
     val localMask = localFan - 1
     val n = ctx.nRanks
-    val bytesPerTuple = 8 // compressed 64-bit words on the wire
 
     // ---- Phase 1a: local histograms, both relations back to back. --------
     val (hr, hs) = ctx.timer.time(Phase.localHistogram) {
@@ -81,7 +82,7 @@ object MonolithicRadixJoin {
     }
 
     // ---- Phase 2: network partitioning with compression. -----------------
-    val (rWin, sWin, rBase, sBase) = ctx.timer.time(Phase.networkPartition) {
+    val (rRows, sRows, rBase, sBase) = ctx.timer.time(Phase.networkPartition) {
       val cr = ctx.allGather(hr)
       val cs = ctx.allGather(hs)
 
@@ -104,15 +105,15 @@ object MonolithicRadixJoin {
       }
       val (rBase, rSizes) = layout(ghr)
       val (sBase, sSizes) = layout(ghs)
-      val rWin = ctx.winCreate(rSizes(ctx.rank))
-      val sWin = ctx.winCreate(sSizes(ctx.rank))
+      val rWin = ctx.winCreate[Long](rSizes(ctx.rank))
+      val sWin = ctx.winCreate[Long](sSizes(ctx.rank))
 
       def scatter(
           data: RowVec,
           counts: Vector[Array[Long]],
           base: Array[Int],
-          win: Window,
-      ): Unit = {
+          win: Window[Long],
+      ): Array[Array[Any]] = {
         val cursor = new Array[Int](netFan)
         var p = 0
         while (p < netFan) {
@@ -122,12 +123,12 @@ object MonolithicRadixJoin {
           cursor(p) = off
           p += 1
         }
-        val batches = Array.fill(netFan)(new Array[Array[Any]](batchRows))
+        val batches = Array.fill(netFan)(new Array[Long](batchRows))
         val fill = new Array[Int](netFan)
         def flush(p: Int): Unit = {
           val len = fill(p)
           if (len > 0) {
-            ctx.put(win, p % n, cursor(p), batches(p), len, len.toLong * bytesPerTuple)
+            ctx.put(win, p % n, cursor(p), batches(p), len, len.toLong * WordBytes)
             cursor(p) += len
             fill(p) = 0
           }
@@ -139,7 +140,7 @@ object MonolithicRadixJoin {
           val v = t(1).asInstanceOf[Long]
           val p2 = (k & netMask).toInt
           // write-combining buffer of compressed 64-bit words
-          batches(p2)(fill(p2)) = Array[Any](pack(k, v, netBits))
+          batches(p2)(fill(p2)) = pack(k, v, netBits)
           fill(p2) = fill(p2) + 1
           if (fill(p2) == batchRows) flush(p2)
           i += 1
@@ -147,29 +148,26 @@ object MonolithicRadixJoin {
         p = 0
         while (p < netFan) { flush(p); p += 1 }
         ctx.fence(win)
+        unpack(win.local(ctx.rank))
       }
-      scatter(r, cr, rBase, rWin)
-      scatter(s, cs, sBase, sWin)
-      (rWin, sWin, rBase, sBase)
+      (scatter(r, cr, rBase, rWin), scatter(s, cs, sBase, sWin), rBase, sBase)
     }
 
     val myParts = (0 until netFan).filter(_ % n == ctx.rank).toArray
 
     // ---- Phase 3: local re-partitioning (histogram + scatter fused). ------
-    // Same boxed-row representation as the modular plan (compressed
-    // single-field rows) so the comparison isolates abstraction overhead,
-    // not data layout (DESIGN.md).
+    // Same representation as the modular plan (the unpacked ⟨khi, v⟩ rows)
+    // so the comparison isolates abstraction overhead, not data layout
+    // (DESIGN.md).
     type SubParts = Array[Array[Array[Any]]]
-    def localRepartition(win: Window, base: Array[Int], gh: Array[Long]): Array[SubParts] =
+    def localRepartition(region: Array[Array[Any]], base: Array[Int], gh: Array[Long]): Array[SubParts] =
       myParts.map { p =>
-        val region = win.local(ctx.rank)
         val from = base(p)
         val len  = gh(p).toInt
         val hist = new Array[Int](localFan)
         var i = 0
         while (i < len) {
-          val c = region(from + i)(0).asInstanceOf[Long]
-          val b = (keyHi(c) & localMask).toInt
+          val b = (region(from + i)(0).asInstanceOf[Long] & localMask).toInt
           hist(b) = hist(b) + 1
           i += 1
         }
@@ -178,8 +176,7 @@ object MonolithicRadixJoin {
         i = 0
         while (i < len) {
           val row = region(from + i)
-          val c = row(0).asInstanceOf[Long]
-          val b = (keyHi(c) & localMask).toInt
+          val b = (row(0).asInstanceOf[Long] & localMask).toInt
           out(b)(cur(b)) = row
           cur(b) += 1
           i += 1
@@ -188,12 +185,12 @@ object MonolithicRadixJoin {
       }
 
     val (rSub, sSub) = ctx.timer.time(Phase.localPartition) {
-      (localRepartition(rWin, rBase, ghr), localRepartition(sWin, sBase, ghs))
+      (localRepartition(rRows, rBase, ghr), localRepartition(sRows, sBase, ghs))
     }
 
     // ---- Phase 4: build and probe per cache-sized sub-partition. ----------
     // The bucket-chained table of BuildProbe (head/chain arrays, chains in
-    // build order), inlined on the unboxed key-high bits `keyHi(c)`.
+    // build order), inlined on the unboxed key-high bits `khi`.
     ctx.timer.time(Phase.buildProbe) {
       val out = new ArrayBuffer[Array[Any]]()
       var pi = 0
@@ -209,7 +206,7 @@ object MonolithicRadixJoin {
           val mask = head.length - 1
           var i = rs.length - 1
           while (i >= 0) {
-            val khi = keyHi(rs(i)(0).asInstanceOf[Long])
+            val khi = rs(i)(0).asInstanceOf[Long]
             val h = byteswap32(khi.##) & mask
             keys(i) = khi
             chain(i) = head(h)
@@ -218,12 +215,12 @@ object MonolithicRadixJoin {
           }
           i = 0
           while (i < ss.length) {
-            val c = ss(i)(0).asInstanceOf[Long]
-            val khi = keyHi(c)
+            val sr = ss(i)
+            val khi = sr(0).asInstanceOf[Long]
             var j = head(byteswap32(khi.##) & mask)
             while (j >= 0) {
               if (keys(j) == khi)
-                out += Array[Any](restoreKey(khi, npid, netBits), value(rs(j)(0).asInstanceOf[Long]), value(c))
+                out += Array[Any](restoreKey(khi, npid, netBits), rs(j)(1), sr(1))
               j = chain(j)
             }
             i += 1

@@ -12,15 +12,18 @@ import repro.core._
   *  2. create one RMA window sized to hold exactly the partitions this rank
   *     owns (`owner(p) = p mod nRanks`);
   *  3. re-read the main upstream, route each tuple with `partOf`, buffer it
-  *     in a per-partition write-combining batch (radix-compressed at write
-  *     time when `compress` is set), and flush full batches with one-sided
-  *     puts;
+  *     in a per-partition write-combining batch, and flush full batches
+  *     with one-sided puts;
   *  4. fence, then emit ⟨npid, partitionData⟩ pairs over zero-copy slices of
   *     the local window region.
   *
   * With `compress`, the input must be ⟨long,long⟩ tuples and `partOf` the
-  * identity radix over the key's low F = log2(`nPart`) bits; each tuple
-  * travels as one packed word (see the companion).
+  * identity radix over the key's low F = log2(`nPart`) bits. Each tuple is
+  * packed at write time into one 64-bit word (see the companion), the
+  * window holds primitive longs, and after the fence each received word is
+  * unpacked once, in window order, into a fresh ⟨khi, value⟩ row: the
+  * elements are ⟨khi, <the input's field 1>⟩, the key still missing its
+  * low F bits (recovered downstream from the npid).
   */
 final class MpiExchange(
     data: SubOp,
@@ -40,8 +43,10 @@ final class MpiExchange(
       s"radix compression needs ⟨long,long⟩ tuples: ${data.outType.render}")
   }
   private val fBits = Integer.numberOfTrailingZeros(nPart)
-  private val elemT: TupleType = if (compress) WordType else data.outType
-  private val bytesPerTuple: Int = Bytes.perTuple(elemT)
+  private val elemT: TupleType =
+    if (compress) TupleType.of("khi" -> Atom.LongA, data.outType.fieldNames(1) -> Atom.LongA)
+    else data.outType
+  private val bytesPerTuple: Int = if (compress) WordBytes else Bytes.perTuple(elemT)
 
   override val outType: TupleType =
     TupleType.of("npid" -> Atom.IntA, "data" -> CollectionType(elemT))
@@ -77,7 +82,9 @@ final class MpiExchange(
     for (o <- 0 until n)
       require(winSizePerRank(o) <= Int.MaxValue,
         s"MpiExchange window of rank $o needs ${winSizePerRank(o)} rows, more than an Int window holds")
-    val win = ctx.winCreate(winSizePerRank(ctx.rank).toInt)
+    val winLen = winSizePerRank(ctx.rank).toInt
+    val wordWin = if (compress) ctx.winCreate[Long](winLen) else null
+    val rowWin  = if (compress) null else ctx.winCreate[Array[Any]](winLen)
 
     // Exclusive write cursor per partition: base + sum of lower ranks' counts.
     val cursor = new Array[Int](nPart)
@@ -90,14 +97,18 @@ final class MpiExchange(
       p += 1
     }
 
-    // Write-combining batches, flushed by one-sided puts (paper §4.1.1).
-    val batches = Array.fill(nPart)(new Array[Array[Any]](BatchRows))
-    val fill    = new Array[Int](nPart)
+    // Write-combining batches, flushed by one-sided puts (paper §4.1.1):
+    // packed words when compressing, the rows themselves otherwise.
+    val words = if (compress) Array.fill(nPart)(new Array[Long](BatchRows)) else null
+    val rows  = if (compress) null else Array.fill(nPart)(new Array[Array[Any]](BatchRows))
+    val fill  = new Array[Int](nPart)
 
     def flush(p: Int): Unit = {
       val len = fill(p)
       if (len > 0) {
-        ctx.put(win, ownerOf(p), cursor(p), batches(p), len, len.toLong * bytesPerTuple)
+        val bytes = len.toLong * bytesPerTuple
+        if (compress) ctx.put(wordWin, ownerOf(p), cursor(p), words(p), len, bytes)
+        else ctx.put(rowWin, ownerOf(p), cursor(p), rows(p), len, bytes)
         cursor(p) += len
         fill(p) = 0
       }
@@ -107,8 +118,8 @@ final class MpiExchange(
     var t = data.next()
     while (t != null) {
       val pid = partOf(t)
-      batches(pid)(fill(pid)) =
-        if (compress) Array[Any](pack(t(0).asInstanceOf[Long], t(1).asInstanceOf[Long], fBits)) else t
+      if (compress) words(pid)(fill(pid)) = pack(t(0).asInstanceOf[Long], t(1).asInstanceOf[Long], fBits)
+      else rows(pid)(fill(pid)) = t
       fill(pid) += 1
       if (fill(pid) == BatchRows) flush(pid)
       t = data.next()
@@ -117,9 +128,8 @@ final class MpiExchange(
     p = 0
     while (p < nPart) { flush(p); p += 1 }
 
-    ctx.fence(win)
-
-    val mine = win.local(ctx.rank)
+    ctx.fence(if (compress) wordWin else rowWin)
+    val mine = if (compress) unpack(wordWin.local(ctx.rank)) else rowWin.local(ctx.rank)
     owned = (0 until nPart).filter(ownerOf(_) == ctx.rank).map { pid =>
       Array[Any](
         pid,
@@ -140,17 +150,18 @@ final class MpiExchange(
   * identity-hash radix partitioning into 2^F partitions, the low F bits of
   * the key equal the partition id, so they are dropped; the key's high bits
   * and the payload are packed into one 64-bit word, halving wire bytes. The
-  * dropped bits are recovered downstream from the networkPartitionID.
+  * receiver unpacks each word once into ⟨khi, value⟩; the dropped bits are
+  * recovered downstream from the networkPartitionID.
   */
 object MpiExchange {
-  /** Rows per write-combining batch, i.e. per one-sided put. */
+  /** Tuples per write-combining batch, i.e. per one-sided put. */
   final val BatchRows = 1024
 
   /** Payload bits of a packed word: the payload occupies the low 32 bits. */
   final val PBits = 32
 
-  /** The element type of a compressed exchange: one packed word. */
-  val WordType: TupleType = TupleType.of("c" -> Atom.LongA)
+  /** Wire size of one packed word. */
+  final val WordBytes = java.lang.Long.BYTES
 
   /** `((k >>> fBits) << PBits) | v`. The word's domain is `0 ≤ v < 2^PBits`
     * and `0 ≤ k < 2^(PBits + fBits)`; anything outside it would come back
@@ -161,6 +172,16 @@ object MpiExchange {
       throw new IllegalArgumentException(
         s"radix compression packs only 0 ≤ v < 2^$PBits and 0 ≤ k < 2^${PBits + fBits}, got k=$k v=$v")
     ((k >>> fBits) << PBits) | v
+  }
+
+  /** Received words as fresh ⟨khi, value⟩ rows, each word unpacked once,
+    * in order.
+    */
+  def unpack(words: Array[Long]): Array[Array[Any]] = {
+    val rows = new Array[Array[Any]](words.length)
+    var i = 0
+    while (i < words.length) { rows(i) = Array[Any](keyHi(words(i)), value(words(i))); i += 1 }
+    rows
   }
 
   def keyHi(c: Long): Long = c >>> PBits

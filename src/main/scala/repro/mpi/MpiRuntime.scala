@@ -3,15 +3,18 @@ package repro.mpi
 import java.util.concurrent.Phaser
 import java.util.concurrent.locks.LockSupport
 
+import scala.reflect.ClassTag
+
 /** Thrown on ranks that were blocked in a collective when a peer failed. */
 final class PeerFailedException(cause: Throwable)
     extends IllegalStateException("a peer rank failed during a collective", cause)
 
 /** SPMD runtime simulating an MPI job over RDMA (paper §2): ranks are JVM
-  * threads and RMA windows are pre-sized shared row arrays with exclusive
-  * write regions per sender — the same synchronization structure as
+  * threads and RMA windows are pre-sized shared arrays with exclusive write
+  * regions per sender — the same synchronization structure as
   * `MPI_Win_create` / `MPI_Put` / `MPI_Win_fence` used by the monolithic
-  * join of Barthels et al.
+  * join of Barthels et al. A window's element is whatever crosses the wire:
+  * a primitive `Long` for radix-compressed words, a row otherwise.
   *
   * All collectives must be called by every rank in the same global order
   * (the MPI contract). They run on one `Phaser` per run: a shared exchange
@@ -72,13 +75,13 @@ final class MpiRuntime(val nRanks: Int, val cfg: NetConfig = NetConfig()) {
   }
 }
 
-/** An RMA window: every rank's registered region, globally visible. Writers
-  * copy rows into exclusive offset ranges (computed from histograms), so no
-  * synchronization is needed between fences — the paper's one-sided-write
-  * discipline.
+/** An RMA window of `A` elements: every rank's registered region, globally
+  * visible. Writers copy elements into exclusive offset ranges (computed
+  * from histograms), so no synchronization is needed between fences — the
+  * paper's one-sided-write discipline.
   */
-final class Window(val regions: Vector[Array[Array[Any]]]) {
-  def local(rank: Int): Array[Array[Any]] = regions(rank)
+final class Window[A](val regions: Vector[Array[A]]) {
+  def local(rank: Int): Array[A] = regions(rank)
 }
 
 /** Per-rank handle to the runtime: rank id, collectives, RMA verbs, timers
@@ -111,16 +114,17 @@ final class MpiContext(val rank: Int, val runtime: MpiRuntime) {
   }
 
   /** Collective window creation (MPI_Win_create): every rank registers a
-    * region of `localRows` rows; all regions become globally addressable.
+    * region of `localLen` elements; all regions become globally addressable.
     */
-  def winCreate(localRows: Int): Window =
-    new Window(allGather(new Array[Array[Any]](localRows)))
+  def winCreate[A: ClassTag](localLen: Int): Window[A] =
+    new Window(allGather(new Array[A](localLen)))
 
-  /** One-sided write of `len` rows from `batch` into `target`'s region at
-    * `offset`. `bytes` is the modeled wire size of the batch; cross-machine
-    * transfers accumulate simulated wire time, paid at the next fence.
+  /** One-sided write of `len` elements from `batch` into `target`'s region
+    * at `offset`. `bytes` is the modeled wire size of the batch;
+    * cross-machine transfers accumulate simulated wire time, paid at the
+    * next fence.
     */
-  def put(win: Window, target: Int, offset: Int, batch: Array[Array[Any]], len: Int, bytes: Long): Unit = {
+  def put[A](win: Window[A], target: Int, offset: Int, batch: Array[A], len: Int, bytes: Long): Unit = {
     System.arraycopy(batch, 0, win.regions(target), offset, len)
     stats.msgs += 1
     if (cfg.machineOf(target) != cfg.machineOf(rank)) {
@@ -134,7 +138,7 @@ final class MpiContext(val rank: Int, val runtime: MpiRuntime) {
   /** MPI_Win_fence: pays accumulated simulated wire time, then synchronizes
     * the RMA epoch (all outstanding puts complete at all ranks).
     */
-  def fence(win: Window): Unit = {
+  def fence(win: Window[_]): Unit = {
     if (pendingWireNanos > 0) {
       LockSupport.parkNanos(pendingWireNanos)
       pendingWireNanos = 0

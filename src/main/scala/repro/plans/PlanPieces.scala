@@ -11,7 +11,7 @@ import repro.mpi._
   *    `"k"` (dense domain, so identity-hash radix partitioning applies);
   *  - network partition of a tuple = `k & (netFan-1)`; local partition =
   *    next `localBits` bits — identical for raw keys (`k >>> netBits`) and
-  *    radix-compressed words (`keyHi & mask`).
+  *    the ⟨khi, value⟩ rows of a radix-compressed exchange (`khi & mask`).
   */
 object PlanPieces {
   val id: SubOp => SubOp = s => s
@@ -41,19 +41,21 @@ object PlanPieces {
     t => (t(0).asInstanceOf[Long] & (cfg.netFan - 1)).toInt
 
   /** Local (second-pass) partition function; operates on exchanged element
-    * tuples — compressed words or raw keyed tuples.
+    * tuples — ⟨khi, value⟩ rows of a compressed exchange, whose `khi`
+    * already lacks the network bits, or raw keyed tuples.
     */
   def localPartOf(cfg: DistConfig, compressed: Boolean): Array[Any] => Int = {
     val mask = cfg.localFan - 1
-    if (compressed) t => (MpiExchange.keyHi(t(0).asInstanceOf[Long]) & mask).toInt
-    else t => ((t(0).asInstanceOf[Long] >>> cfg.netBits) & mask).toInt
+    val shift = if (compressed) 0 else cfg.netBits
+    t => ((t(0).asInstanceOf[Long] >>> shift) & mask).toInt
   }
 
   /** The paper's histogram-then-exchange pipeline (upper part of Fig 3):
     * Shared(keyed) → LocalHistogram → MpiHistogram → MpiExchange. The keyed
     * stream is materialized once per invocation of `scope`, the rank's slot
-    * (pipeline cut: it has two consumers), inside localHistogram: each
-    * operator's `open()` does all its work and is timed as its phase.
+    * (pipeline cut: it has two consumers; a scan of the rank's shard replays
+    * the shard itself), inside localHistogram: each operator's `open()` does
+    * all its work and is timed as its phase.
     * Returns the ⟨npid, data⟩ stream of partitions owned by this rank.
     */
   def exchangePipeline(
@@ -101,22 +103,9 @@ object PlanPieces {
     )
   }
 
-  /** Unpack radix-compressed words ⟨c⟩ into ⟨khi, valName⟩ (key high bits
-    * still missing the partition bits, recovered later).
-    */
-  def splitCompressed(up: SubOp, valName: String): SubOp =
-    new MapOp(
-      up,
-      t => {
-        val c = t(0).asInstanceOf[Long]
-        Array[Any](MpiExchange.keyHi(c), MpiExchange.value(c))
-      },
-      TupleType.of("khi" -> Atom.LongA, valName -> Atom.LongA),
-    )
-
   /** Recover the partition bits dropped by the compression (ParametrizedMap
     * fed the networkPartitionID, §4.1.2): field 0 `khi` becomes the full key
-    * `k`. Works on any stream whose field 0 is the compressed key-high word.
+    * `k`. Works on any stream whose field 0 is the key's high bits `khi`.
     */
   def restoreKeys(
       up: SubOp,
@@ -148,8 +137,9 @@ object PlanPieces {
     * partition by partition; side 0's exchange opens first, so every rank
     * drives the collectives in the same order. The first NestedMap
     * local-partitions every side and zips the sub-partitions. The second
-    * hands `body` one stream per side: ⟨khi, value⟩ for a compressed side
-    * (value named after the side's field 1), the keyed tuple otherwise.
+    * hands `body` one stream per side, the scan of its sub-partition:
+    * ⟨khi, value⟩ as a compressed exchange unpacked it (value named after
+    * the side's field 1), the keyed tuple otherwise.
     * `body` also gets `restore`, which turns a leading `khi` back into the
     * full key `k` from `npid0` and leaves any other stream as it is.
     *
@@ -179,11 +169,7 @@ object PlanPieces {
       val local = idx.map(i =>
         localPartitionSide(slot1, ctx, cfg, s"npid$i", s"data$i", s"lpid$i", s"ldata$i", sides(i)._2))
       val nm2 = new NestedMap(new Zip(local), slot2 => {
-        val streams = idx.map { i =>
-          val (keyed, compressed) = sides(i)
-          val scan = scanField(slot2, s"ldata$i")
-          if (compressed) splitCompressed(scan, keyed.outType.fieldNames(1)) else scan
-        }
+        val streams = idx.map(i => scanField(slot2, s"ldata$i"))
         val restore: SubOp => SubOp = up =>
           if (up.outType.fieldNames.head == "khi") restoreKeys(up, slot2, "npid0", cfg) else up
         new Timed(new MaterializeRowVector(body(streams, restore), "data"), ctx.timer, phase)

@@ -107,6 +107,40 @@ class NestedAndSharedSpec extends AnyFunSuite {
     assert(opens == 2)
   }
 
+  test("Shared over a RowScan replays its input's one collection in place, and concatenates several") {
+    val slotT = TupleType.of("data" -> CollectionType(PairT))
+    var opens = 0
+    var reads = 0
+    val counted: RowVec = new RowVec {
+      override def length: Int = 2
+      override def apply(i: Int): Array[Any] = { reads += 1; Array[Any](i.toLong, 0L) }
+    }
+    def shared(colls: RowVec*) = {
+      val input = new SubOp {
+        override val outType: TupleType = slotT
+        private var i = 0
+        override def open(): Unit = { opens += 1; i = 0 }
+        override def next(): Array[Any] =
+          if (i >= colls.size) null else { i += 1; Array[Any](colls(i - 1)) }
+        override def close(): Unit = ()
+      }
+      val slot = new ParamSlot(PairT)
+      slot.current = Array[Any](0L, 0L)
+      new Shared(new RowScan(input, "data"), slot)
+    }
+    // One collection: both consumers read it directly, nothing is copied.
+    val one = shared(counted)
+    assert(asPairs(one.scan.drain().toSeq) == Seq(0L -> 0L, 1L -> 0L))
+    assert(asPairs(one.scan.drain().toSeq) == Seq(0L -> 0L, 1L -> 0L))
+    assert(opens == 1 && reads == 4)
+    // Several: one pass over the input, its collections in order.
+    val many = shared(pairs(1L -> 1L), pairs(), pairs(2L -> 2L, 3L -> 3L))
+    assert(asPairs(many.scan.drain().toSeq) == Seq(1L -> 1L, 2L -> 2L, 3L -> 3L))
+    assert(asPairs(many.scan.drain().toSeq) == Seq(1L -> 1L, 2L -> 2L, 3L -> 3L))
+    assert(opens == 2)
+    assert(shared().scan.drain().isEmpty)
+  }
+
   test("Shared inside a NestedMap recomputes per nested invocation") {
     val outerT = TupleType.of("data" -> CollectionType(PairT))
     val outer = new VectorSource(

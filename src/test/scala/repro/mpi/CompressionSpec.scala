@@ -3,7 +3,7 @@ package repro.mpi
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-import MpiExchange.{keyHi, pack, restoreKey, value}
+import MpiExchange.{keyHi, pack, restoreKey, unpack, value}
 
 class CompressionSpec extends AnyFunSuite {
 
@@ -17,6 +17,24 @@ class CompressionSpec extends AnyFunSuite {
       val packed = pack(k, v, fBits)
       assert(value(packed) == v)
       assert(restoreKey(keyHi(packed), npid, fBits) == k)
+    }
+  }
+
+  test("unpack then restoreKey gives back ⟨k, v⟩ across the word's whole domain") {
+    val rnd = new Random(5)
+    for (fBits <- 1 to 8) {
+      val kTop = 1L << (MpiExchange.PBits + fBits)
+      val vTop = 1L << MpiExchange.PBits
+      val edges = Seq(0L -> 0L, (kTop - 1) -> (vTop - 1), 0L -> (vTop - 1), (kTop - 1) -> 0L)
+      val kvs = edges ++ Seq.fill(200)(rnd.nextLong(kTop) -> rnd.nextLong(vTop))
+      val rows = unpack(kvs.map { case (k, v) => pack(k, v, fBits) }.toArray)
+      assert(rows.length == kvs.size)
+      for (((k, v), row) <- kvs.zip(rows)) {
+        assert(row.length == 2)
+        val npid = (k & ((1L << fBits) - 1)).toInt
+        assert(restoreKey(row(0).asInstanceOf[Long], npid, fBits) == k)
+        assert(row(1) == v)
+      }
     }
   }
 

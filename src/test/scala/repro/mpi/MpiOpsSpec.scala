@@ -82,26 +82,33 @@ class MpiOpsSpec extends AnyFunSuite {
     val rt = new MpiRuntime(n, NetConfig(ranksPerMachine = 1,
       crossBytesPerSec = Long.MaxValue, msgLatencyNanos = 0))
     val results = rt.run { ctx =>
-      val rows = (0L until 16L).map(k => k -> (k * 10))
-      def keyed = src(rows: _*)
+      val sent = pairs((0L until 16L).map(k => k -> (k * 10)): _*)
+      def keyed = new VectorSource(sent, PairT)
       val part: Array[Any] => Int = t => (t(0).asInstanceOf[Long] & 1L).toInt
       val lh = new Shared(new LocalHistogram(keyed, 2, part), new ParamSlot(PairT))
       val gh = new MpiHistogram(lh.scan, 2, ctx)
       val ex = new MpiExchange(keyed, lh.scan, gh, 2, part, ctx, compress = true)
       val out = ex.drain()
       assert(ex.outType.typeOf("data") ==
-        CollectionType(TupleType.of("c" -> Atom.LongA)))
-      out.map { t =>
+        CollectionType(TupleType.of("khi" -> Atom.LongA, "v" -> Atom.LongA)))
+      val received = out.flatMap { t =>
         val pid = t(0).asInstanceOf[Int]
-        t(1).asInstanceOf[RowVec].map { r =>
-          val c = r(0).asInstanceOf[Long]
-          MpiExchange.restoreKey(MpiExchange.keyHi(c), pid, netBits) ->
-            MpiExchange.value(c)
-        }.toSeq
+        t(1).asInstanceOf[RowVec].map(pid -> _)
       }.toSeq
+      (sent.toSeq, received)
     }
-    val restored = results.flatten.flatten.sorted
+    val received = results.flatMap(_._2)
+    val restored = received.map { case (pid, r) =>
+      assert(r.length == 2)
+      MpiExchange.restoreKey(r(0).asInstanceOf[Long], pid, netBits) -> r(1).asInstanceOf[Long]
+    }.sorted
     assert(restored == (0L until 16L).map(k => k -> (k * 10)).sorted.toList.flatMap(x => List(x, x)))
+    // The data crossed as words: every received row is a fresh object,
+    // none of them a tuple either sender emitted.
+    val sentRows = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[AnyRef, java.lang.Boolean])
+    results.foreach(_._1.foreach(sentRows.add))
+    assert(sentRows.size == 2 * 16)
+    assert(received.forall { case (_, r) => !sentRows.contains(r) })
     // byte accounting: 2 ranks × 16 tuples × 8 B compressed, half cross-machine
     val stats = rt.lastContexts.map(_.stats)
     assert(stats.map(s => s.bytesCross + s.bytesLocal).sum == 2 * 16 * 8)

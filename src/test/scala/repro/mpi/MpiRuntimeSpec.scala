@@ -54,7 +54,7 @@ class MpiRuntimeSpec extends AnyFunSuite {
     val n = 4
     val rt = new MpiRuntime(n)
     val results = rt.run { ctx =>
-      val win = ctx.winCreate(n) // each rank receives one row from each rank
+      val win = ctx.winCreate[Array[Any]](n) // each rank receives one row from each rank
       val batch = Array(Array[Any](ctx.rank.toLong))
       var target = 0
       while (target < n) {
@@ -71,7 +71,7 @@ class MpiRuntimeSpec extends AnyFunSuite {
     val cfg = NetConfig(ranksPerMachine = 2, crossBytesPerSec = Long.MaxValue, msgLatencyNanos = 0)
     val rt = new MpiRuntime(4, cfg)
     rt.run { ctx =>
-      val win = ctx.winCreate(4)
+      val win = ctx.winCreate[Array[Any]](4)
       val batch = Array(Array[Any](0L))
       var t = 0
       while (t < 4) { ctx.put(win, t, ctx.rank, batch, 1, 100); t += 1 }
@@ -112,7 +112,7 @@ class MpiRuntimeSpec extends AnyFunSuite {
     val boom = new RuntimeException("rank 0 died")
     val rt = new MpiRuntime(3)
     val e = within(intercept[RuntimeException](rt.run { ctx =>
-      val win = ctx.winCreate(1)
+      val win = ctx.winCreate[Array[Any]](1)
       ctx.rank match {
         case 0 => Thread.sleep(50); throw boom
         case 1 => ctx.fence(win)
@@ -151,7 +151,7 @@ class MpiRuntimeSpec extends AnyFunSuite {
   test("single-rank runtime works without peers") {
     val rt = new MpiRuntime(1)
     val r = rt.run { ctx =>
-      val win = ctx.winCreate(1)
+      val win = ctx.winCreate[Array[Any]](1)
       ctx.put(win, 0, 0, Array(Array[Any](42L)), 1, 8)
       ctx.fence(win)
       ctx.allReduceSum(Array(5L)).toSeq
@@ -217,7 +217,7 @@ class MpiRuntimeSpec extends AnyFunSuite {
     val bytes = 1000L
     val rt = new MpiRuntime(2, cfg)
     rt.run { ctx =>
-      val win = ctx.winCreate(2)
+      val win = ctx.winCreate[Array[Any]](2)
       ctx.put(win, 1 - ctx.rank, ctx.rank, Array(Array[Any](0L)), 1, bytes)
       ctx.fence(win)
     }

@@ -44,17 +44,12 @@ class PlanPiecesSpec extends AnyFunSuite {
     val com = localPartOf(c, compressed = true)
     val k = 0x5DL // binary 101_1101: net bits 101, local bits 11
     assert(raw(Array[Any](k, 0L)) == 3)
-    val packed = MpiExchange.pack(k, 7L, c.netBits)
-    assert(com(Array[Any](packed)) == 3)
-  }
-
-  test("splitCompressed unpacks keyHi and value") {
-    val c = cfg(2)
-    val packed = Array[Any](MpiExchange.pack(42L, 7L, c.netBits))
-    val src = new VectorSource(Vector(packed), MpiExchange.WordType)
-    val out = splitCompressed(src, "v").drainOne()
-    assert(out(0) == 42L >>> c.netBits)
-    assert(out(1) == 7L)
+    // A compressed exchange delivers ⟨khi, v⟩ with khi = k >>> netBits; the
+    // payload's low bits (4 & 3 == 0) differ from the partition, so only
+    // reading khi from field 0 gives 3.
+    val Array(khi, v) = MpiExchange.unpack(Array(MpiExchange.pack(k, 4L, c.netBits)))(0)
+    assert(khi == (k >>> c.netBits) && v == 4L)
+    assert(com(Array[Any](khi, v)) == 3)
   }
 
   test("restoreKeys recovers the dropped partition bits via the npid") {
