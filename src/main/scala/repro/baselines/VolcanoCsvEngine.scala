@@ -135,12 +135,6 @@ object VolcanoCsvEngine {
     def iterator: Iterator[Row] = child.iterator.filter(pred.eval(_) == java.lang.Boolean.TRUE)
   }
 
-  final case class Project(child: Op, exprs: Seq[(String, String, Expr)]) extends Op {
-    def schema: Schema = Schema(exprs.map(e => e._1 -> e._2).toVector)
-    def iterator: Iterator[Row] =
-      child.iterator.map(r => exprs.map(_._3.eval(r)).toArray)
-  }
-
   /** In-memory hash join (inner or left-semi on the probe side). */
   final case class HashJoin(build: Op, probe: Op, buildKey: Int, probeKey: Int, semi: Boolean)
       extends Op {

@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.core.RowVec
 import repro.monolith.MonolithicRadixJoin
-import repro.mpi.{Phase, PhaseTimer}
+import repro.mpi.{Phase, RunReport}
 import repro.plans.{RadixJoinPlan, Workloads}
 import repro.plans.PlanPieces.DistConfig
 import repro.plans.RadixJoinPlan.JoinSpec
@@ -21,9 +21,7 @@ import BenchUtil._
 object JoinBench {
   private val Phases = Phase.values.toVector.filter(_ != Phase.aggregate) // the monolith's five
 
-  /** Per phase the slowest rank's ms; `phaseSumMs` is one rank's largest sum, at most `totalMs`. */
-  final case class RunResult(
-      totalMs: Double, phasesMs: Map[Phase.Value, Double], phaseSumMs: Double, rows: Long)
+  final case class RunResult(totalMs: Double, report: RunReport, rows: Long)
 
   private def inputs(n: Int, c: DistConfig): (Vector[RowVec], Vector[RowVec]) = {
     val r = Workloads.shard(Workloads.densePairs(n, 1, seed = 1), c.nRanks)
@@ -32,22 +30,19 @@ object JoinBench {
     (r, s)
   }
 
-  private def result(ms: Double, timers: Seq[PhaseTimer], rows: Long): RunResult =
-    RunResult(ms, PhaseTimer.maxAcross(timers).map { case (k, v) => k -> v / 1e6 },
-      timers.map(_.snapshot.values.sum).max / 1e6, rows)
-
   private def runMonolithOn(r: Vector[RowVec], s: Vector[RowVec], c: DistConfig): RunResult = {
     val (results, ms) = timeMs {
       MonolithicRadixJoin.run(r, s, c.nRanks, c.net, c.netBits, c.localBits)
     }
-    result(ms, results.map(_.timer), MonolithicRadixJoin.totalRows(results))
+    RunResult(ms, RunReport(results.map(_.timer), results.map(_.stats)),
+      MonolithicRadixJoin.totalRows(results))
   }
 
   private def runModularisOn(r: Vector[RowVec], s: Vector[RowVec], c: DistConfig): RunResult = {
     val (stream, exec) = RadixJoinPlan.driver(
       r, s, Workloads.pairTypeNamed("rv"), Workloads.pairTypeNamed("sv"), JoinSpec(c))
     val (rows, ms) = drainTimed(stream)
-    result(ms, exec.lastRuntime.lastContexts.map(_.timer), rows)
+    RunResult(ms, exec.report, rows)
   }
 
   def runMonolith(n: Int, machines: Int): RunResult = {
@@ -78,8 +73,8 @@ object JoinBench {
     }
     def row(name: String)(ms: RunResult => Double): Seq[String] =
       name +: results.flatMap { case (_, (mono, mod)) => Seq(fmt(ms(mono)), fmt(ms(mod))) }
-    val rows = Phases.map(p => row(p.toString)(_.phasesMs(p))) ++ Seq(
-      row("sum of phases (max over ranks)")(_.phaseSumMs),
+    val rows = Phases.map(p => row(p.toString)(_.report.slowestNanos(p) / 1e6)) ++ Seq(
+      row("sum of phases (max over ranks)")(_.report.busiestRankNanos / 1e6),
       row("query total")(_.totalMs))
     table(s"Fig 6a — join phase breakdown (n=$n tuples/relation)", header, rows)
   }

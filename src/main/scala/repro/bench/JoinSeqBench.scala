@@ -29,10 +29,8 @@ object JoinSeqBench {
   private def runOn(rels: Vector[Vector[RowVec]], c: DistConfig, optimized: Boolean): SeqResult = {
     val (stream, exec) = JoinSequencePlan.driver(rels, c, optimized)
     val (rows, ms) = drainTimed(stream)
-    val ctxs = exec.lastRuntime.lastContexts
-    val netMs = ctxs.map(_.timer.nanos(Phase.networkPartition)).max / 1e6
-    val bytes = ctxs.map(c0 => c0.stats.bytesCross + c0.stats.bytesLocal).sum
-    SeqResult(ms, netMs, bytes, rows)
+    val report = exec.report
+    SeqResult(ms, report.slowestNanos(Phase.networkPartition) / 1e6, report.bytesPut, rows)
   }
 
   def runOnce(n: Int, machines: Int, nRel: Int, dup: Int, optimized: Boolean): SeqResult = {

@@ -9,40 +9,39 @@ import repro.core._
   * order. The paper's mpirun + worker-binary + NFS-file result path becomes
   * a thread launch + in-memory handoff here (same JVM).
   *
-  * The nested-plan builder receives the rank's [[ParamSlot]] and
-  * [[MpiContext]]; because the output type must be known at plan
-  * construction, the builder is probed once with the context of rank 0 of
-  * a 1-rank runtime that is never run (so no rank thread starts).
+  * The executor owns one [[MpiRuntime]] of `nRanks` ranks and builds each
+  * rank's nested plan once, at construction, from that rank's [[ParamSlot]]
+  * and [[MpiContext]]; the output type is that of rank 0's plan. Every
+  * `open()` binds the input tuples to the slots and runs the prebuilt
+  * plans; [[report]] summarizes what the ranks measured.
   */
 final class MpiExecutor(
     up: SubOp,
+    nRanks: Int,
     cfg: NetConfig,
     buildInner: (ParamSlot, MpiContext) => SubOp,
 ) extends SubOp {
+  val runtime = new MpiRuntime(nRanks, cfg)
+  private val slots = Vector.fill(nRanks)(new ParamSlot(up.outType))
+  private val plans = runtime.contexts.map(ctx => buildInner(slots(ctx.rank), ctx))
 
-  override val outType: TupleType = {
-    val probeSlot = new ParamSlot(up.outType)
-    buildInner(probeSlot, new MpiContext(0, new MpiRuntime(1, cfg))).outType
-  }
+  override val outType: TupleType = plans(0).outType
 
-  /** The runtime of the most recent open() — benches read per-rank timers
-    * and network stats from `lastRuntime.lastContexts`.
-    */
-  var lastRuntime: MpiRuntime = _
+  /** What the ranks measured over every run of this executor. */
+  def report: RunReport = RunReport(runtime.contexts.map(_.timer), runtime.contexts.map(_.stats))
+
+  /** `runtime` under the name perfbench reads. */
+  def lastRuntime: MpiRuntime = runtime
 
   private var results: Vector[Array[Any]] = _
   private var i = 0
 
   override def open(): Unit = {
     val inputs = up.drain()
-    require(inputs.nonEmpty, "MpiExecutor needs at least one input tuple (one per rank)")
-    val runtime = new MpiRuntime(inputs.size, cfg)
-    lastRuntime = runtime
-    results = runtime.run { ctx =>
-      val slot = new ParamSlot(up.outType)
-      slot.current = inputs(ctx.rank)
-      buildInner(slot, ctx).drainOne()
-    }
+    require(inputs.size == nRanks,
+      s"MpiExecutor over $nRanks ranks needs one input tuple per rank, got ${inputs.size}")
+    slots.indices.foreach(r => slots(r).current = inputs(r))
+    results = runtime.run(ctx => plans(ctx.rank).drainOne())
     i = 0
   }
 

@@ -22,9 +22,13 @@ final class PeerFailedException(cause: Throwable)
   * allReduce derives. Terminating the phaser is the job abort: a failing
   * rank records its exception and terminates the phaser, which releases
   * every peer in or entering a collective with a [[PeerFailedException]].
+  *
+  * The runtime creates its rank contexts once; their timers and network
+  * counters add up over every `run` of the runtime.
   */
 final class MpiRuntime(val nRanks: Int, val cfg: NetConfig = NetConfig()) {
   require(nRanks >= 1)
+  val contexts: Vector[MpiContext] = Vector.tabulate(nRanks)(r => new MpiContext(r, this))
   @volatile private var failure: Throwable = _
   @volatile private var phaser: Phaser = _
   private val board = new Array[AnyRef](nRanks)
@@ -34,8 +38,6 @@ final class MpiRuntime(val nRanks: Int, val cfg: NetConfig = NetConfig()) {
     */
   def run[A](body: MpiContext => A): Vector[A] = {
     val results  = new Array[Any](nRanks)
-    val contexts = Vector.tabulate(nRanks)(r => new MpiContext(r, this))
-    lastContexts = contexts
     val ph = new Phaser(nRanks)
     failure = null
     phaser = ph
@@ -60,8 +62,8 @@ final class MpiRuntime(val nRanks: Int, val cfg: NetConfig = NetConfig()) {
     Vector.tabulate(nRanks)(r => results(r).asInstanceOf[A])
   }
 
-  /** Contexts of the most recent run — benches read timers/stats from here. */
-  @volatile var lastContexts: Vector[MpiContext] = Vector.empty
+  /** `contexts` under the name perfbench reads. */
+  def lastContexts: Vector[MpiContext] = contexts
 
   private[mpi] def sync(): Unit =
     if (phaser.arriveAndAwaitAdvance() < 0) throw new PeerFailedException(failure)
@@ -140,7 +142,13 @@ final class MpiContext(val rank: Int, val runtime: MpiRuntime) {
     */
   def fence(win: Window[_]): Unit = {
     if (pendingWireNanos > 0) {
-      LockSupport.parkNanos(pendingWireNanos)
+      // parkNanos may return early (a stale permit, a spurious wake-up)
+      val deadline = System.nanoTime() + pendingWireNanos
+      var left = pendingWireNanos
+      while (left > 0) {
+        LockSupport.parkNanos(left)
+        left = deadline - System.nanoTime()
+      }
       pendingWireNanos = 0
     }
     runtime.sync()

@@ -25,6 +25,4 @@ final class NetStats {
   var bytesLocal: Long = 0
   var msgs: Long = 0
   var simulatedWireNanos: Long = 0
-
-  def bytesTotal: Long = bytesCross + bytesLocal
 }

@@ -36,11 +36,3 @@ final class PhaseTimer {
   def phases: Vector[String] = Phase.values.toVector.filter(nanos(_) > 0).map(_.toString)
   def snapshot: Map[String, Long] = phases.map(p => p -> nanos(p)).toMap
 }
-
-object PhaseTimer {
-  /** Critical-path aggregation across ranks: max per phase (the paper's
-    * breakdown reports the slowest process per phase).
-    */
-  def maxAcross(timers: Seq[PhaseTimer]): Map[Phase.Value, Long] =
-    Phase.values.toVector.map(p => p -> timers.map(_.nanos(p)).max).toMap
-}

@@ -27,7 +27,7 @@ object GroupByPlan {
 
   /** Driver plan: per-rank nested plans plus the final driver-side
     * post-aggregation of all workers' results. Returns (stream of ⟨k, v⟩
-    * groups, executor).
+    * groups, executor whose `report` holds what the ranks measured).
     *
     * With radix partitioning the per-rank groups are disjoint, so the
     * driver merge is a logical identity; `mergeAtDriver = false` skips it

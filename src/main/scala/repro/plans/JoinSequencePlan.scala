@@ -52,7 +52,8 @@ object JoinSequencePlan {
   }
 
   /** Shared driver harness: `relParts(i)` holds relation i sharded per rank.
-    * Returns (flattened joined stream at the driver, executor).
+    * Returns (flattened joined stream at the driver, executor whose
+    * `report` holds what the ranks measured).
     */
   def driver(
       relParts: Vector[Vector[RowVec]],

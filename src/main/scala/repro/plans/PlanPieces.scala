@@ -183,7 +183,7 @@ object PlanPieces {
     * shards ⟨field_i = shards_i(r)⟩, run `rankStream` on the simulated
     * cluster via MpiExecutor (materialized, one result tuple per rank) and
     * flatten the per-rank results. Returns (driver-side stream, executor);
-    * the executor exposes per-rank timers and network statistics.
+    * the executor's `report` holds what the ranks measured.
     */
   def onCluster(cfg: DistConfig, rels: Seq[(String, TupleType, Vector[RowVec])])(
       rankStream: (ParamSlot, MpiContext) => SubOp): (SubOp, MpiExecutor) = {
@@ -191,7 +191,7 @@ object PlanPieces {
       s"every relation needs exactly one shard per rank (${cfg.nRanks})")
     val inType = TupleType(rels.map { case (f, t, _) => f -> (CollectionType(t): ItemType) }.toVector)
     val rows = (0 until cfg.nRanks).map(r => rels.map(_._3(r)).toArray[Any])
-    val exec = new MpiExecutor(new VectorSource(rows, inType), cfg.net,
+    val exec = new MpiExecutor(new VectorSource(rows, inType), cfg.nRanks, cfg.net,
       (slot, ctx) => new MaterializeRowVector(rankStream(slot, ctx), "data"))
     (new RowScan(exec, "data"), exec)
   }

@@ -47,8 +47,8 @@ object RadixJoinPlan {
 
   /** Driver-level plan: shard inputs one tuple per rank, run the join on the
     * simulated cluster and flatten the per-rank results into a driver-side
-    * stream. Returns (stream, executor) — the executor exposes per-rank
-    * timers and network statistics.
+    * stream. Returns (stream, executor) — the executor's `report` holds
+    * the per-rank timers and network statistics.
     */
   def driver(
       rParts: Vector[RowVec],

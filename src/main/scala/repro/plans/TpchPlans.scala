@@ -67,8 +67,8 @@ object TpchPlans {
     }
   }
 
-  /** One executed query: driver-level result tuples + the executor (for
-    * per-rank stats).
+  /** One executed query: driver-level result tuples + the executor (its
+    * `report` holds the per-rank stats).
     */
   final case class QueryRun(rows: Seq[Array[Any]], exec: MpiExecutor)
 

@@ -57,10 +57,4 @@ class CompressionSpec extends AnyFunSuite {
       assert(intercept[IllegalArgumentException](pack(k, v, fBits))
         .getMessage.contains("0 ≤ k < 2^35"))
   }
-
-  test("NetStats totals") {
-    val s = new NetStats
-    s.bytesCross = 10; s.bytesLocal = 5
-    assert(s.bytesTotal == 15)
-  }
 }

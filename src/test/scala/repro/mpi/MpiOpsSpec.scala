@@ -110,7 +110,7 @@ class MpiOpsSpec extends AnyFunSuite {
     assert(sentRows.size == 2 * 16)
     assert(received.forall { case (_, r) => !sentRows.contains(r) })
     // byte accounting: 2 ranks × 16 tuples × 8 B compressed, half cross-machine
-    val stats = rt.lastContexts.map(_.stats)
+    val stats = rt.contexts.map(_.stats)
     assert(stats.map(s => s.bytesCross + s.bytesLocal).sum == 2 * 16 * 8)
   }
 
@@ -133,7 +133,7 @@ class MpiOpsSpec extends AnyFunSuite {
     val inT = TupleType.of("x" -> Atom.LongA)
     val srcRows = new VectorSource(
       ArrayBuffer(Array[Any](10L), Array[Any](20L), Array[Any](30L)), inT)
-    val exec = new MpiExecutor(srcRows, NetConfig(), (slot, ctx) => {
+    val exec = new MpiExecutor(srcRows, 3, NetConfig(), (slot, ctx) => {
       val pl = new ParameterLookup(slot)
       new MapOp(pl, t => Array[Any](t(0).asInstanceOf[Long] + ctx.rank),
         TupleType.of("y" -> Atom.LongA))
@@ -146,7 +146,7 @@ class MpiOpsSpec extends AnyFunSuite {
     val inT = TupleType.of("x" -> Atom.LongA)
     val srcRows = new VectorSource(
       ArrayBuffer(Array[Any](1L), Array[Any](2L)), inT)
-    val exec = new MpiExecutor(srcRows, NetConfig(), (slot, ctx) => {
+    val exec = new MpiExecutor(srcRows, 2, NetConfig(), (slot, ctx) => {
       val pl = new ParameterLookup(slot)
       new MapOp(pl, t => {
         val sum = ctx.allReduceSum(Array(t(0).asInstanceOf[Long]))(0)
@@ -156,12 +156,44 @@ class MpiOpsSpec extends AnyFunSuite {
     assert(exec.drain().map(_(0)) == Seq(3L, 3L))
   }
 
-  test("MpiExecutor exposes the last runtime for stats inspection") {
+  test("MpiExecutor reports what its ranks measured") {
     val inT = TupleType.of("x" -> Atom.LongA)
-    val srcRows = new VectorSource(ArrayBuffer(Array[Any](1L)), inT)
-    val exec = new MpiExecutor(srcRows, NetConfig(), (slot, _) =>
-      new ParameterLookup(slot))
-    exec.drain()
-    assert(exec.lastRuntime.lastContexts.size == 1)
+    val srcRows = new VectorSource(ArrayBuffer(Array[Any](1L), Array[Any](2L)), inT)
+    val exec = new MpiExecutor(srcRows, 2, NetConfig(), (slot, ctx) =>
+      new MapOp(new ParameterLookup(slot), t => {
+        val win = ctx.winCreate[Array[Any]](1)
+        ctx.timer.time(Phase.networkPartition) {
+          ctx.put(win, 1 - ctx.rank, 0, Array(t), 1, 16)
+          ctx.fence(win)
+        }
+        win.local(ctx.rank)(0)
+      }, inT))
+    assert(exec.drain().map(_(0)) == Seq(2L, 1L))
+    val report = exec.report
+    assert(report.timers.size == 2 && report.stats.size == 2)
+    assert(report.bytesPut == 2 * 16)
+    assert(report.stats.forall(_.msgs == 1))
+    assert(report.slowestNanos(Phase.networkPartition) > 0)
+  }
+
+  test("MpiExecutor builds each rank's plan once, against that rank's context") {
+    val inT = TupleType.of("x" -> Atom.LongA)
+    val srcRows = new VectorSource(ArrayBuffer(Array[Any](1L), Array[Any](2L), Array[Any](3L)), inT)
+    val built = ArrayBuffer.empty[(Int, Int)]
+    val exec = new MpiExecutor(srcRows, 3, NetConfig(), (slot, ctx) => {
+      built.synchronized(built += ctx.rank -> ctx.nRanks)
+      new ParameterLookup(slot)
+    })
+    assert(exec.drain().map(_(0)) == Seq(1L, 2L, 3L))
+    assert(exec.drain().map(_(0)) == Seq(1L, 2L, 3L)) // a re-open reruns the same plans
+    assert(built.sorted == Seq(0 -> 3, 1 -> 3, 2 -> 3))
+  }
+
+  test("MpiExecutor fails loudly unless it gets one input tuple per rank") {
+    val inT = TupleType.of("x" -> Atom.LongA)
+    val srcRows = new VectorSource(ArrayBuffer(Array[Any](1L), Array[Any](2L)), inT)
+    val exec = new MpiExecutor(srcRows, 3, NetConfig(), (slot, _) => new ParameterLookup(slot))
+    val e = intercept[IllegalArgumentException](exec.open())
+    assert(e.getMessage.contains("3 ranks") && e.getMessage.contains("got 2"))
   }
 }

@@ -1,6 +1,7 @@
 package repro.mpi
 
 import org.scalatest.funsuite.AnyFunSuite
+import java.util.concurrent.locks.LockSupport
 import scala.collection.mutable.ArrayBuffer
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration._
@@ -77,7 +78,7 @@ class MpiRuntimeSpec extends AnyFunSuite {
       while (t < 4) { ctx.put(win, t, ctx.rank, batch, 1, 100); t += 1 }
       ctx.fence(win)
     }
-    val stats = rt.lastContexts.map(_.stats)
+    val stats = rt.contexts.map(_.stats)
     // 4 ranks on 2 machines: each rank sends 2 local (same machine) + 2 cross.
     stats.foreach { s =>
       assert(s.bytesLocal == 200)
@@ -139,7 +140,7 @@ class MpiRuntimeSpec extends AnyFunSuite {
     val boom = new IllegalStateException("plan failed on rank 1")
     val inT = TupleType.of("x" -> Atom.LongA)
     val exec = new MpiExecutor(
-      new VectorSource(ArrayBuffer(Array[Any](1L), Array[Any](2L)), inT), NetConfig(),
+      new VectorSource(ArrayBuffer(Array[Any](1L), Array[Any](2L)), inT), 2, NetConfig(),
       (slot, ctx) => new MapOp(new ParameterLookup(slot), t => {
         if (ctx.rank == 1) throw boom
         Array[Any](ctx.allReduceSum(Array(t(0).asInstanceOf[Long]))(0))
@@ -159,18 +160,51 @@ class MpiRuntimeSpec extends AnyFunSuite {
     assert(r == Vector(Seq(5L)))
   }
 
-  test("PhaseTimer accumulates and maxAcross takes per-phase maxima") {
+  test("PhaseTimer accumulates and RunReport takes the slowest rank per phase") {
     val t1 = new PhaseTimer; val t2 = new PhaseTimer
     t1.time(Phase.localHistogram)(Thread.sleep(2))
     val once = t1.nanos(Phase.localHistogram)
     t1.time(Phase.localHistogram)(Thread.sleep(2))
     assert(once >= 2_000_000L && t1.nanos(Phase.localHistogram) >= once + 2_000_000L)
     t2.time(Phase.localHistogram)(Thread.sleep(5)); t2.time(Phase.globalHistogram)(Thread.sleep(1))
-    val m = PhaseTimer.maxAcross(Seq(t1, t2))
-    assert(m(Phase.localHistogram) ==
+    val r = RunReport(Vector(t1, t2), Vector(new NetStats, new NetStats))
+    assert(r.slowestNanos(Phase.localHistogram) ==
       math.max(t1.nanos(Phase.localHistogram), t2.nanos(Phase.localHistogram)))
-    assert(m(Phase.globalHistogram) == t2.nanos(Phase.globalHistogram))
-    assert(m(Phase.aggregate) == 0)
+    assert(r.slowestNanos(Phase.globalHistogram) == t2.nanos(Phase.globalHistogram))
+    assert(r.slowestNanos(Phase.aggregate) == 0)
+  }
+
+  test("RunReport's busiest rank has the largest sum of phases, not the sum of the maxima") {
+    val t1 = new PhaseTimer; val t2 = new PhaseTimer
+    t1.time(Phase.localHistogram)(Thread.sleep(20))
+    t2.time(Phase.buildProbe)(Thread.sleep(5)); t2.time(Phase.aggregate)(Thread.sleep(5))
+    val sum1 = t1.nanos(Phase.localHistogram)
+    val sum2 = t2.nanos(Phase.buildProbe) + t2.nanos(Phase.aggregate)
+    val r = RunReport(Vector(t1, t2), Vector(new NetStats, new NetStats))
+    assert(r.busiestRankNanos == math.max(sum1, sum2))
+    assert(r.busiestRankNanos < Phase.values.toSeq.map(r.slowestNanos).sum)
+  }
+
+  test("RunReport totals the bytes every rank put, within and across machines") {
+    val s1 = new NetStats; val s2 = new NetStats
+    s1.bytesCross = 10; s1.bytesLocal = 5
+    s2.bytesCross = 7
+    assert(RunReport(Vector(new PhaseTimer, new PhaseTimer), Vector(s1, s2)).bytesPut == 22)
+  }
+
+  test("a fence pays the whole charged wire time even if the rank holds a park permit") {
+    val cfg = NetConfig(ranksPerMachine = 1, crossBytesPerSec = 1_000_000L, msgLatencyNanos = 0)
+    val bytes = 30_000L // 30 ms on the wire
+    val rt = new MpiRuntime(2, cfg)
+    val took = within(rt.run { ctx =>
+      val win = ctx.winCreate[Array[Any]](1)
+      ctx.put(win, 1 - ctx.rank, 0, Array(Array[Any](0L)), 1, bytes)
+      LockSupport.unpark(Thread.currentThread()) // parkNanos would return at once
+      val t0 = System.nanoTime()
+      ctx.fence(win)
+      System.nanoTime() - t0
+    })
+    took.foreach(t => assert(t >= 30_000_000L, s"fence took ${t / 1e6} ms of 30 ms charged"))
   }
 
   test("a nested PhaseTimer span pauses the enclosing one") {
@@ -223,6 +257,6 @@ class MpiRuntimeSpec extends AnyFunSuite {
     }
     val expected = (bytes * 1e9 / cfg.crossBytesPerSec).toLong + cfg.msgLatencyNanos
     assert(expected == 1_001_000L)
-    rt.lastContexts.foreach(c => assert(c.stats.simulatedWireNanos == expected))
+    rt.contexts.foreach(c => assert(c.stats.simulatedWireNanos == expected))
   }
 }

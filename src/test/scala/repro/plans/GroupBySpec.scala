@@ -47,7 +47,7 @@ class GroupBySpec extends AnyFunSuite {
     val (stream, exec) = GroupByPlan.driver(
       Workloads.shard(rows, 2), Workloads.PairType, cfg(2))
     stream.drain()
-    val phases = exec.lastRuntime.lastContexts.flatMap(_.timer.phases).toSet
+    val phases = exec.report.timers.flatMap(_.phases).toSet
     assert(phases.contains("aggregate"))
     assert(phases.contains("networkPartition"))
   }

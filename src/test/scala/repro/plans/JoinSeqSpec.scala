@@ -71,7 +71,7 @@ class JoinSeqSpec extends AnyFunSuite {
       val rels = relations(3, 256, 1, 4)
       val (stream, exec) = JoinSequencePlan.driver(rels, cfg(4), optimized = optimized)
       stream.drain()
-      exec.lastRuntime.lastContexts.map(c => c.stats.bytesCross + c.stats.bytesLocal).sum
+      exec.report.bytesPut
     }
     val o = bytes(true)
     val n = bytes(false)

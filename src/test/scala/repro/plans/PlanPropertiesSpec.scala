@@ -142,7 +142,7 @@ class PlanPropertiesSpec extends AnyFunSuite {
       val t0 = System.nanoTime()
       stream.drain()
       val wall = System.nanoTime() - t0
-      exec.lastRuntime.lastContexts.foreach { ctx =>
+      exec.runtime.contexts.foreach { ctx =>
         val sum = ctx.timer.snapshot.values.sum
         assert(sum <= wall, s"$plan: rank ${ctx.rank} phases sum to ${sum / 1e6} ms in a ${wall / 1e6} ms query")
       }

@@ -68,7 +68,7 @@ class RadixJoinSpec extends AnyFunSuite {
         Workloads.pairTypeNamed("rv"), Workloads.pairTypeNamed("sv"),
         JoinSpec(cfg(4, compress)))
       stream.drain()
-      exec.lastRuntime.lastContexts.map(s => s.stats.bytesCross + s.stats.bytesLocal).sum
+      exec.report.bytesPut
     }
     val c = crossBytes(true)
     val u = crossBytes(false)
@@ -84,8 +84,7 @@ class RadixJoinSpec extends AnyFunSuite {
       Workloads.pairTypeNamed("rv"), Workloads.pairTypeNamed("sv"),
       JoinSpec(cfg(2)))
     stream.drain()
-    val timers = exec.lastRuntime.lastContexts.map(_.timer)
-    val phases = timers.flatMap(_.phases).toSet
+    val phases = exec.report.timers.flatMap(_.phases).toSet
     assert(Set("localHistogram", "globalHistogram", "networkPartition",
       "localPartition", "buildProbe").subsetOf(phases))
   }
