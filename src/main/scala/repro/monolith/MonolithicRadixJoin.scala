@@ -3,7 +3,7 @@ package repro.monolith
 import scala.collection.mutable.ArrayBuffer
 import scala.util.hashing.byteswap32
 
-import repro.core.RowVec
+import repro.core.{Radix, RowVec}
 import repro.mpi._
 
 /** The monolithic, hand-fused distributed radix hash join in the style of
@@ -31,7 +31,10 @@ object MonolithicRadixJoin {
   )
 
   /** Run the fused join of ⟨k,v⟩ relations `r ⋈ s` on one simulated cluster.
-    * Returns per-rank materialized outputs ⟨k, rv, sv⟩.
+    * It partitions with the modular plan's two radix values: the key's low
+    * `netBits` bits across the network, then the next `localBits` bits (the
+    * low bits of the unpacked `khi`). Returns per-rank materialized outputs
+    * ⟨k, rv, sv⟩.
     */
   def run(
       rParts: Vector[RowVec],
@@ -42,9 +45,11 @@ object MonolithicRadixJoin {
       localBits: Int,
   ): Vector[Result] = {
     require(rParts.size == nRanks && sParts.size == nRanks)
+    val netRadix = Radix(0, netBits)
+    val localRadix = Radix(0, localBits)
     val runtime = new MpiRuntime(nRanks, net)
     runtime.run { ctx =>
-      val rows = joinOnRank(ctx, rParts(ctx.rank), sParts(ctx.rank), netBits, localBits)
+      val rows = joinOnRank(ctx, rParts(ctx.rank), sParts(ctx.rank), netRadix, localRadix)
       Result(rows, ctx.timer, ctx.stats)
     }
   }
@@ -53,25 +58,21 @@ object MonolithicRadixJoin {
       ctx: MpiContext,
       r: RowVec,
       s: RowVec,
-      netBits: Int,
-      localBits: Int,
+      netRadix: Radix,
+      localRadix: Radix,
   ): ArrayBuffer[Array[Any]] = {
-    import MpiExchange.{WordBytes, pack, restoreKey, unpack}
+    import MpiExchange.{WordBytes, packRow, restoreKey, unpack}
     val batchRows = MpiExchange.BatchRows
-    val netFan  = 1 << netBits
-    val netMask = netFan - 1
-    val localFan  = 1 << localBits
-    val localMask = localFan - 1
     val n = ctx.nRanks
 
     // ---- Phase 1a: local histograms, both relations back to back. --------
     val (hr, hs) = ctx.timer.time(Phase.localHistogram) {
-      val hr = new Array[Long](netFan)
-      val hs = new Array[Long](netFan)
+      val hr = new Array[Long](netRadix.fan)
+      val hs = new Array[Long](netRadix.fan)
       var i = 0
-      while (i < r.length) { val b = (r(i)(0).asInstanceOf[Long] & netMask).toInt; hr(b) = hr(b) + 1; i += 1 }
+      while (i < r.length) { val b = netRadix(r(i)); hr(b) = hr(b) + 1; i += 1 }
       i = 0
-      while (i < s.length) { val b = (s(i)(0).asInstanceOf[Long] & netMask).toInt; hs(b) = hs(b) + 1; i += 1 }
+      while (i < s.length) { val b = netRadix(s(i)); hs(b) = hs(b) + 1; i += 1 }
       (hr, hs)
     }
 
@@ -89,10 +90,10 @@ object MonolithicRadixJoin {
       // Summed in Long; every offset is at most its owner's window size,
       // checked to fit an Int.
       def layout(gh: Array[Long]): (Array[Int], Array[Int]) = {
-        val partBase = new Array[Long](netFan)
+        val partBase = new Array[Long](netRadix.fan)
         val sizePerRank = new Array[Long](n)
         var p = 0
-        while (p < netFan) {
+        while (p < netRadix.fan) {
           val o = p % n
           partBase(p) = sizePerRank(o)
           sizePerRank(o) += gh(p)
@@ -114,17 +115,17 @@ object MonolithicRadixJoin {
           base: Array[Int],
           win: Window[Long],
       ): Array[Array[Any]] = {
-        val cursor = new Array[Int](netFan)
+        val cursor = new Array[Int](netRadix.fan)
         var p = 0
-        while (p < netFan) {
+        while (p < netRadix.fan) {
           var off = base(p)
           var rr = 0
           while (rr < ctx.rank) { off += counts(rr)(p).toInt; rr += 1 }
           cursor(p) = off
           p += 1
         }
-        val batches = Array.fill(netFan)(new Array[Long](batchRows))
-        val fill = new Array[Int](netFan)
+        val batches = Array.fill(netRadix.fan)(new Array[Long](batchRows))
+        val fill = new Array[Int](netRadix.fan)
         def flush(p: Int): Unit = {
           val len = fill(p)
           if (len > 0) {
@@ -136,24 +137,22 @@ object MonolithicRadixJoin {
         var i = 0
         while (i < data.length) {
           val t = data(i)
-          val k = t(0).asInstanceOf[Long]
-          val v = t(1).asInstanceOf[Long]
-          val p2 = (k & netMask).toInt
+          val p2 = netRadix(t)
           // write-combining buffer of compressed 64-bit words
-          batches(p2)(fill(p2)) = pack(k, v, netBits)
+          batches(p2)(fill(p2)) = packRow(t, netRadix.bits)
           fill(p2) = fill(p2) + 1
           if (fill(p2) == batchRows) flush(p2)
           i += 1
         }
         p = 0
-        while (p < netFan) { flush(p); p += 1 }
+        while (p < netRadix.fan) { flush(p); p += 1 }
         ctx.fence(win)
         unpack(win.local(ctx.rank))
       }
       (scatter(r, cr, rBase, rWin), scatter(s, cs, sBase, sWin), rBase, sBase)
     }
 
-    val myParts = (0 until netFan).filter(_ % n == ctx.rank).toArray
+    val myParts = (0 until netRadix.fan).filter(_ % n == ctx.rank).toArray
 
     // ---- Phase 3: local re-partitioning (histogram + scatter fused). ------
     // Same representation as the modular plan (the unpacked ⟨khi, v⟩ rows)
@@ -164,19 +163,19 @@ object MonolithicRadixJoin {
       myParts.map { p =>
         val from = base(p)
         val len  = gh(p).toInt
-        val hist = new Array[Int](localFan)
+        val hist = new Array[Int](localRadix.fan)
         var i = 0
         while (i < len) {
-          val b = (region(from + i)(0).asInstanceOf[Long] & localMask).toInt
+          val b = localRadix(region(from + i))
           hist(b) = hist(b) + 1
           i += 1
         }
-        val out = Array.tabulate(localFan)(b => new Array[Array[Any]](hist(b)))
-        val cur = new Array[Int](localFan)
+        val out = Array.tabulate(localRadix.fan)(b => new Array[Array[Any]](hist(b)))
+        val cur = new Array[Int](localRadix.fan)
         i = 0
         while (i < len) {
           val row = region(from + i)
-          val b = (row(0).asInstanceOf[Long] & localMask).toInt
+          val b = localRadix(row)
           out(b)(cur(b)) = row
           cur(b) += 1
           i += 1
@@ -197,7 +196,7 @@ object MonolithicRadixJoin {
       while (pi < myParts.length) {
         val npid = myParts(pi)
         var b = 0
-        while (b < localFan) {
+        while (b < localRadix.fan) {
           val rs = rSub(pi)(b)
           val ss = sSub(pi)(b)
           val keys = new Array[Long](rs.length)
@@ -220,7 +219,7 @@ object MonolithicRadixJoin {
             var j = head(byteswap32(khi.##) & mask)
             while (j >= 0) {
               if (keys(j) == khi)
-                out += Array[Any](restoreKey(khi, npid, netBits), rs(j)(1), sr(1))
+                out += Array[Any](restoreKey(khi, npid, netRadix.bits), rs(j)(1), sr(1))
               j = chain(j)
             }
             i += 1

@@ -11,26 +11,26 @@ import repro.core._
   *     write offset into each partition region;
   *  2. create one RMA window sized to hold exactly the partitions this rank
   *     owns (`owner(p) = p mod nRanks`);
-  *  3. re-read the main upstream, route each tuple with `partOf`, buffer it
-  *     in a per-partition write-combining batch, and flush full batches
-  *     with one-sided puts;
+  *  3. re-read the main upstream, route each tuple to its `radix`
+  *     partition, buffer it in a per-partition write-combining batch, and
+  *     flush full batches with one-sided puts;
   *  4. fence, then emit ⟨npid, partitionData⟩ pairs over zero-copy slices of
   *     the local window region.
   *
-  * With `compress`, the input must be ⟨long,long⟩ tuples and `partOf` the
-  * identity radix over the key's low F = log2(`nPart`) bits. Each tuple is
-  * packed at write time into one 64-bit word (see the companion), the
-  * window holds primitive longs, and after the fence each received word is
-  * unpacked once, in window order, into a fresh ⟨khi, value⟩ row: the
-  * elements are ⟨khi, <the input's field 1>⟩, the key still missing its
-  * low F bits (recovered downstream from the npid).
+  * With `compress`, the input must be `compressible` (⟨long,long⟩ tuples)
+  * and `radix` must take the key's low F = `radix.bits` bits (shift 0),
+  * since those are the bits the word drops. Each tuple is packed at write
+  * time into one 64-bit word (see the companion), the window holds
+  * primitive longs, and after the fence each received word is unpacked
+  * once, in window order, into a fresh ⟨khi, value⟩ row: the elements are
+  * ⟨khi, <the input's field 1>⟩, the key still missing its low F bits
+  * (recovered downstream from the npid).
   */
 final class MpiExchange(
     data: SubOp,
     localHist: SubOp,
     globalHist: SubOp,
-    nPart: Int,
-    partOf: Array[Any] => Int,
+    radix: Radix,
     ctx: MpiContext,
     compress: Boolean = false,
     ownerShift: Int = 0,
@@ -38,11 +38,9 @@ final class MpiExchange(
   import MpiExchange._
 
   if (compress) {
-    require(Integer.bitCount(nPart) == 1, s"radix compression needs a power-of-two fanout, got $nPart")
-    require(data.outType.fields.map(_._2) == Vector(Atom.LongA, Atom.LongA),
-      s"radix compression needs ⟨long,long⟩ tuples: ${data.outType.render}")
+    require(radix.shift == 0, s"radix compression drops the key's low bits: needs shift 0, got ${radix.shift}")
+    require(compressible(data.outType), s"radix compression needs ⟨long,long⟩ tuples: ${data.outType.render}")
   }
-  private val fBits = Integer.numberOfTrailingZeros(nPart)
   private val elemT: TupleType =
     if (compress) TupleType.of("khi" -> Atom.LongA, data.outType.fieldNames(1) -> Atom.LongA)
     else data.outType
@@ -61,8 +59,8 @@ final class MpiExchange(
   private var i = 0
 
   override def open(): Unit = {
-    val lh = Histograms.toArray(localHist, nPart)
-    val gh = Histograms.toArray(globalHist, nPart)
+    val lh = Histograms.toArray(localHist, radix.fan)
+    val gh = Histograms.toArray(globalHist, radix.fan)
     val n = ctx.nRanks
     // Every rank's local histogram: counts(rank)(partition).
     val counts = ctx.allGather(lh)
@@ -70,10 +68,10 @@ final class MpiExchange(
     // Layout of each owner's window: owned partitions in increasing id,
     // each region exactly the global partition size. Summed in Long: every
     // offset below is at most its owner's window size, checked to fit an Int.
-    val partBase = new Array[Long](nPart)
+    val partBase = new Array[Long](radix.fan)
     val winSizePerRank = new Array[Long](n)
     var p = 0
-    while (p < nPart) {
+    while (p < radix.fan) {
       val o = ownerOf(p)
       partBase(p) = winSizePerRank(o)
       winSizePerRank(o) += gh(p)
@@ -87,9 +85,9 @@ final class MpiExchange(
     val rowWin  = if (compress) null else ctx.winCreate[Array[Any]](winLen)
 
     // Exclusive write cursor per partition: base + sum of lower ranks' counts.
-    val cursor = new Array[Int](nPart)
+    val cursor = new Array[Int](radix.fan)
     p = 0
-    while (p < nPart) {
+    while (p < radix.fan) {
       var off = partBase(p)
       var r = 0
       while (r < ctx.rank) { off += counts(r)(p); r += 1 }
@@ -99,9 +97,9 @@ final class MpiExchange(
 
     // Write-combining batches, flushed by one-sided puts (paper §4.1.1):
     // packed words when compressing, the rows themselves otherwise.
-    val words = if (compress) Array.fill(nPart)(new Array[Long](BatchRows)) else null
-    val rows  = if (compress) null else Array.fill(nPart)(new Array[Array[Any]](BatchRows))
-    val fill  = new Array[Int](nPart)
+    val words = if (compress) Array.fill(radix.fan)(new Array[Long](BatchRows)) else null
+    val rows  = if (compress) null else Array.fill(radix.fan)(new Array[Array[Any]](BatchRows))
+    val fill  = new Array[Int](radix.fan)
 
     def flush(p: Int): Unit = {
       val len = fill(p)
@@ -117,8 +115,8 @@ final class MpiExchange(
     data.open()
     var t = data.next()
     while (t != null) {
-      val pid = partOf(t)
-      if (compress) words(pid)(fill(pid)) = pack(t(0).asInstanceOf[Long], t(1).asInstanceOf[Long], fBits)
+      val pid = radix(t)
+      if (compress) words(pid)(fill(pid)) = packRow(t, radix.bits)
       else rows(pid)(fill(pid)) = t
       fill(pid) += 1
       if (fill(pid) == BatchRows) flush(pid)
@@ -126,11 +124,11 @@ final class MpiExchange(
     }
     data.close()
     p = 0
-    while (p < nPart) { flush(p); p += 1 }
+    while (p < radix.fan) { flush(p); p += 1 }
 
     ctx.fence(if (compress) wordWin else rowWin)
     val mine = if (compress) unpack(wordWin.local(ctx.rank)) else rowWin.local(ctx.rank)
-    owned = (0 until nPart).filter(ownerOf(_) == ctx.rank).map { pid =>
+    owned = (0 until radix.fan).filter(ownerOf(_) == ctx.rank).map { pid =>
       Array[Any](
         pid,
         new RowSlice(mine, partBase(pid).toInt, gh(pid).toInt): RowVec,
@@ -163,6 +161,9 @@ object MpiExchange {
   /** Wire size of one packed word. */
   final val WordBytes = java.lang.Long.BYTES
 
+  /** Whether tuples of type `t` fit the word: exactly ⟨long, long⟩. */
+  def compressible(t: TupleType): Boolean = t.fields.map(_._2) == Vector(Atom.LongA, Atom.LongA)
+
   /** `((k >>> fBits) << PBits) | v`. The word's domain is `0 ≤ v < 2^PBits`
     * and `0 ≤ k < 2^(PBits + fBits)`; anything outside it would come back
     * as a different tuple, so it is refused.
@@ -172,6 +173,15 @@ object MpiExchange {
       throw new IllegalArgumentException(
         s"radix compression packs only 0 ≤ v < 2^$PBits and 0 ≤ k < 2^${PBits + fBits}, got k=$k v=$v")
     ((k >>> fBits) << PBits) | v
+  }
+
+  /** The word of a ⟨k, v⟩ row. A null has no word (it would unbox to 0), so
+    * a null key or payload is refused.
+    */
+  def packRow(t: Array[Any], fBits: Int): Long = {
+    if (t(0) == null || t(1) == null)
+      throw new IllegalArgumentException(s"radix compression packs no null, got ⟨${t(0)}, ${t(1)}⟩")
+    pack(t(0).asInstanceOf[Long], t(1).asInstanceOf[Long], fBits)
   }
 
   /** Received words as fresh ⟨khi, value⟩ rows, each word unpacked once,

@@ -19,7 +19,7 @@ object GroupByPlan {
     // partitioning the groups are disjoint across partitions, so this is
     // a cheap pass-through, but the plan keeps the operator as described.
     val level: SubOp => SubOp = new ReduceByKey(_, "k", sumLongValue)
-    partitioned(Seq(scanField(slot, "data") -> cfg.compress), slot, ctx, cfg, Phase.aggregate,
+    partitioned(Seq(scanField(slot, "data")), slot, ctx, cfg, Phase.aggregate,
         levelAgg = level) { (s, restore) =>
       restore(new ReduceByKey(s(0), s(0).outType.fieldNames.head, sumLongValue))
     }

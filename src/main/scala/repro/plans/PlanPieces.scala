@@ -9,9 +9,10 @@ import repro.mpi._
   *
   *  - every keyed stream has its 64-bit join/grouping key as field 0, named
   *    `"k"` (dense domain, so identity-hash radix partitioning applies);
-  *  - network partition of a tuple = `k & (netFan-1)`; local partition =
-  *    next `localBits` bits — identical for raw keys (`k >>> netBits`) and
-  *    the ⟨khi, value⟩ rows of a radix-compressed exchange (`khi & mask`).
+  *  - network partition of a tuple = the key's low `netBits` bits
+  *    (`netRadix`); local partition = the next `localBits` bits — identical
+  *    for raw keys (`localRadix`) and the ⟨khi, value⟩ rows of a
+  *    radix-compressed exchange, whose `khi` already lacks the network bits.
   */
 object PlanPieces {
   val id: SubOp => SubOp = s => s
@@ -24,9 +25,11 @@ object PlanPieces {
       localBits: Int = 4,
       compress: Boolean = true,
   ) {
-    require((1 << netBits) >= nRanks, s"netBits=$netBits gives fewer partitions than ranks=$nRanks")
-    def netFan: Int = 1 << netBits
-    def localFan: Int = 1 << localBits
+    val netRadix: Radix = Radix(0, netBits)
+    val localRadix: Radix = Radix(netBits, localBits)
+    require(netRadix.fan >= nRanks, s"netBits=$netBits gives fewer partitions than ranks=$nRanks")
+    def netFan: Int = netRadix.fan
+    def localFan: Int = localRadix.fan
   }
 
   /** `RowScan(Projection(ParameterLookup, field), field)` — dissect one
@@ -36,19 +39,12 @@ object PlanPieces {
   def scanField(slot: ParamSlot, field: String): SubOp =
     new RowScan(new Projection(new ParameterLookup(slot), Seq(field)), field)
 
-  /** Network partition function over a keyed stream (field 0 = long key). */
-  def netPartOf(cfg: DistConfig): Array[Any] => Int =
-    t => (t(0).asInstanceOf[Long] & (cfg.netFan - 1)).toInt
-
-  /** Local (second-pass) partition function; operates on exchanged element
-    * tuples — ⟨khi, value⟩ rows of a compressed exchange, whose `khi`
-    * already lacks the network bits, or raw keyed tuples.
+  /** Local (second-pass) partitioning of exchanged element tuples —
+    * ⟨khi, value⟩ rows of a compressed exchange, whose `khi` already lacks
+    * the network bits, or raw keyed tuples.
     */
-  def localPartOf(cfg: DistConfig, compressed: Boolean): Array[Any] => Int = {
-    val mask = cfg.localFan - 1
-    val shift = if (compressed) 0 else cfg.netBits
-    t => ((t(0).asInstanceOf[Long] >>> shift) & mask).toInt
-  }
+  def localPartOf(cfg: DistConfig, compressed: Boolean): Radix =
+    if (compressed) Radix(0, cfg.localBits) else cfg.localRadix
 
   /** The paper's histogram-then-exchange pipeline (upper part of Fig 3):
     * Shared(keyed) → LocalHistogram → MpiHistogram → MpiExchange. The keyed
@@ -66,13 +62,12 @@ object PlanPieces {
       compress: Boolean,
       ownerShift: Int = 0,
   ): SubOp = {
-    val netPart = netPartOf(cfg)
     val sh = new Shared(keyed, scope)
     val lh = new Shared(
-      new Timed(new LocalHistogram(sh.scan, cfg.netFan, netPart), ctx.timer, Phase.localHistogram),
+      new Timed(new LocalHistogram(sh.scan, cfg.netFan, cfg.netRadix), ctx.timer, Phase.localHistogram),
       scope)
     val gh = new Timed(new MpiHistogram(lh.scan, cfg.netFan, ctx), ctx.timer, Phase.globalHistogram)
-    val ex = new MpiExchange(sh.scan, lh.scan, gh, cfg.netFan, netPart, ctx, compress, ownerShift)
+    val ex = new MpiExchange(sh.scan, lh.scan, gh, cfg.netRadix, ctx, compress, ownerShift)
     new Timed(ex, ctx.timer, Phase.networkPartition)
   }
 
@@ -94,9 +89,9 @@ object PlanPieces {
   ): SubOp = {
     val part = localPartOf(cfg, compressed)
     val sh   = new Shared(scanField(slot1, dataField), slot1)
-    val lh   = new LocalHistogram(sh.scan, cfg.localFan, part)
+    val lh   = new LocalHistogram(sh.scan, part.fan, part)
     val lp   = new Timed(
-      new LocalPartitioning(sh.scan, lh, cfg.localFan, part), ctx.timer, Phase.localPartition)
+      new LocalPartitioning(sh.scan, lh, part.fan, part), ctx.timer, Phase.localPartition)
     new CartesianProduct(
       new Projection(new ParameterLookup(slot1), Seq(npidField)),
       new Rename(lp, Seq(lpidName, dataName)),
@@ -131,25 +126,27 @@ object PlanPieces {
   /** The radix-partitioned skeleton of Figs 3–5 (§4.1–4.3), shared by the
     * join, GROUP BY and join-sequence plans.
     *
-    * Each side is a keyed stream (field 0 a long key). It is exchanged
-    * (radix-compressed when its flag is set, which needs ⟨long,long⟩
-    * tuples) and renamed to ⟨npid$i, data$i⟩. The sides are zipped
-    * partition by partition; side 0's exchange opens first, so every rank
-    * drives the collectives in the same order. The first NestedMap
-    * local-partitions every side and zips the sub-partitions. The second
-    * hands `body` one stream per side, the scan of its sub-partition:
-    * ⟨khi, value⟩ as a compressed exchange unpacked it (value named after
-    * the side's field 1), the keyed tuple otherwise.
-    * `body` also gets `restore`, which turns a leading `khi` back into the
-    * full key `k` from `npid0` and leaves any other stream as it is.
+    * Each side is a keyed stream (field 0 a long key). It is exchanged,
+    * radix-compressed when `cfg.compress` is set and the side is
+    * `MpiExchange.compressible` (⟨long,long⟩ tuples), and renamed to
+    * ⟨npid$i, data$i⟩. The sides are zipped partition by partition; side
+    * 0's exchange opens first, so every rank drives the collectives in the
+    * same order. The first NestedMap local-partitions every side and zips
+    * the sub-partitions. The second hands `body` one stream per side, the
+    * scan of its sub-partition: ⟨khi, value⟩ as a compressed exchange
+    * unpacked it (value named after the side's field 1), the keyed tuple
+    * otherwise. `body` also gets `restore`, which turns a leading `khi`
+    * back into the full key `k` from `npid0` and leaves any other stream
+    * as it is.
     *
-    * The body's result is materialized per sub-partition, and that
-    * materialization is timed as `phase`. `levelAgg` runs after each
-    * unnesting. `slot` is the rank's slot, the scope of the exchanges.
+    * The body's result is materialized per sub-partition, and `levelAgg`'s
+    * result per network partition; both materializations are timed as
+    * `phase`. `levelAgg` runs after each unnesting. `slot` is the rank's
+    * slot, the scope of the exchanges.
     * Returns the flattened per-rank stream.
     */
   def partitioned(
-      sides: Seq[(SubOp, Boolean)],
+      sides: Seq[SubOp],
       slot: ParamSlot,
       ctx: MpiContext,
       cfg: DistConfig,
@@ -157,24 +154,23 @@ object PlanPieces {
       ownerShift: Int = 0,
       levelAgg: SubOp => SubOp = id,
   )(body: (Seq[SubOp], SubOp => SubOp) => SubOp): SubOp = {
-    for ((keyed, _) <- sides)
+    for (keyed <- sides)
       require(keyed.outType.fields.head._2 == Atom.LongA,
         s"partition key (field 0) must be a long: ${keyed.outType.render}")
+    val compressed = sides.map(keyed => cfg.compress && MpiExchange.compressible(keyed.outType))
     val idx = sides.indices
-    val exchanged = idx.map { i =>
-      val (keyed, compressed) = sides(i)
-      new Rename(exchangePipeline(keyed, slot, ctx, cfg, compressed, ownerShift), Seq(s"npid$i", s"data$i"))
-    }
+    val exchanged = idx.map(i => new Rename(
+      exchangePipeline(sides(i), slot, ctx, cfg, compressed(i), ownerShift), Seq(s"npid$i", s"data$i")))
     val nm1 = new NestedMap(new Zip(exchanged), slot1 => {
       val local = idx.map(i =>
-        localPartitionSide(slot1, ctx, cfg, s"npid$i", s"data$i", s"lpid$i", s"ldata$i", sides(i)._2))
+        localPartitionSide(slot1, ctx, cfg, s"npid$i", s"data$i", s"lpid$i", s"ldata$i", compressed(i)))
       val nm2 = new NestedMap(new Zip(local), slot2 => {
         val streams = idx.map(i => scanField(slot2, s"ldata$i"))
         val restore: SubOp => SubOp = up =>
           if (up.outType.fieldNames.head == "khi") restoreKeys(up, slot2, "npid0", cfg) else up
         new Timed(new MaterializeRowVector(body(streams, restore), "data"), ctx.timer, phase)
       })
-      new MaterializeRowVector(levelAgg(new RowScan(nm2, "data")), "data")
+      new Timed(new MaterializeRowVector(levelAgg(new RowScan(nm2, "data")), "data"), ctx.timer, phase)
     })
     levelAgg(new RowScan(nm1, "data"))
   }

@@ -37,10 +37,11 @@ object RadixJoinPlan {
       fieldS: String = "s",
   ): SubOp = {
     val sides = Seq(spec.preR(scanField(slot, fieldR)), spec.preS(scanField(slot, fieldS)))
-    partitioned(sides.map(_ -> spec.cfg.compress), slot, ctx, spec.cfg, Phase.buildProbe,
-        levelAgg = spec.levelAgg) { (s, restore) =>
-      // Both sides share the join attribute: "khi" compressed, "k" raw.
-      val bp = new BuildProbe(s(0), s(1), Seq(s(0).outType.fieldNames.head), spec.kind)
+    partitioned(sides, slot, ctx, spec.cfg, Phase.buildProbe, levelAgg = spec.levelAgg) { (s, restore) =>
+      // The join attribute: "khi" when both sides arrive compressed, "k"
+      // otherwise, so a side compressed alone gets its full key back first.
+      val js = if (s.forall(_.outType.fieldNames.head == "khi")) s else s.map(restore)
+      val bp = new BuildProbe(js(0), js(1), Seq(js(0).outType.fieldNames.head), spec.kind)
       spec.levelAgg(spec.postJoin(restore(bp)))
     }
   }

@@ -7,15 +7,12 @@ import repro.core._
 import repro.core.TestData._
 
 class MpiOpsSpec extends AnyFunSuite {
-  private def bucketOf(n: Int): Array[Any] => Int =
-    t => (t(0).asInstanceOf[Long] % n).toInt
-
   test("MpiHistogram computes the global histogram on every rank") {
     val rt = new MpiRuntime(3)
     val results = rt.run { ctx =>
       // rank r contributes r+1 tuples to bucket 0 and one tuple to bucket 1
       val rows = (0 to ctx.rank).map(_ => 0L -> 0L) :+ (1L -> 0L)
-      val lh = new LocalHistogram(src(rows: _*), 2, bucketOf(2))
+      val lh = new LocalHistogram(src(rows: _*), 2, Radix(0, 1))
       Histograms.toArray(new MpiHistogram(lh, 2, ctx), 2).toSeq
     }
     results.foreach(v => assert(v == Seq(6L, 3L)))
@@ -23,15 +20,15 @@ class MpiOpsSpec extends AnyFunSuite {
 
   test("MpiExchange routes every tuple to its partition's owner rank") {
     val n = 2
-    val nPart = 4
+    val radix = Radix(0, 2) // 4 partitions
     val rt = new MpiRuntime(n)
     val results = rt.run { ctx =>
       // every rank holds keys 0..7 with value = rank
       val rows = (0L until 8L).map(k => k -> ctx.rank.toLong)
       def keyed = src(rows: _*)
-      val lh = new Shared(new LocalHistogram(keyed, nPart, bucketOf(nPart)), new ParamSlot(PairT))
-      val gh = new MpiHistogram(lh.scan, nPart, ctx)
-      val ex = new MpiExchange(keyed, lh.scan, gh, nPart, bucketOf(nPart), ctx)
+      val lh = new Shared(new LocalHistogram(keyed, radix.fan, radix), new ParamSlot(PairT))
+      val gh = new MpiHistogram(lh.scan, radix.fan, ctx)
+      val ex = new MpiExchange(keyed, lh.scan, gh, radix, ctx)
       ex.drain().map { t =>
         val pid = t(0).asInstanceOf[Int]
         val data = t(1).asInstanceOf[RowVec]
@@ -50,14 +47,14 @@ class MpiOpsSpec extends AnyFunSuite {
 
   test("MpiExchange preserves global tuple count across ranks") {
     val n = 4
-    val nPart = 8
+    val radix = Radix(0, 3) // 8 partitions
     val rt = new MpiRuntime(n)
     val counts = rt.run { ctx =>
       val rows = (0L until 100L).map(k => (k * 31 % 64) -> k)
       def keyed = src(rows: _*)
-      val lh = new Shared(new LocalHistogram(keyed, nPart, bucketOf(nPart)), new ParamSlot(PairT))
-      val gh = new MpiHistogram(lh.scan, nPart, ctx)
-      val ex = new MpiExchange(keyed, lh.scan, gh, nPart, bucketOf(nPart), ctx)
+      val lh = new Shared(new LocalHistogram(keyed, radix.fan, radix), new ParamSlot(PairT))
+      val gh = new MpiHistogram(lh.scan, radix.fan, ctx)
+      val ex = new MpiExchange(keyed, lh.scan, gh, radix, ctx)
       ex.drain().map(_(1).asInstanceOf[RowVec].size).sum
     }
     assert(counts.sum == 400)
@@ -71,7 +68,7 @@ class MpiOpsSpec extends AnyFunSuite {
     val e = intercept[IllegalArgumentException](rt.run { ctx =>
       // Partitions 1 and 3 (owned by rank 1) hold 1.5 * 10^9 rows each.
       new MpiExchange(src(), hist(0, 0, 0, 0), hist(0, 1500000000L, 0, 1500000000L),
-        4, bucketOf(4), ctx).drain()
+        Radix(0, 2), ctx).drain()
     })
     assert(e.getMessage.contains("window of rank 1 needs 3000000000 rows"))
   }
@@ -84,10 +81,10 @@ class MpiOpsSpec extends AnyFunSuite {
     val results = rt.run { ctx =>
       val sent = pairs((0L until 16L).map(k => k -> (k * 10)): _*)
       def keyed = new VectorSource(sent, PairT)
-      val part: Array[Any] => Int = t => (t(0).asInstanceOf[Long] & 1L).toInt
-      val lh = new Shared(new LocalHistogram(keyed, 2, part), new ParamSlot(PairT))
-      val gh = new MpiHistogram(lh.scan, 2, ctx)
-      val ex = new MpiExchange(keyed, lh.scan, gh, 2, part, ctx, compress = true)
+      val radix = Radix(0, netBits)
+      val lh = new Shared(new LocalHistogram(keyed, radix.fan, radix), new ParamSlot(PairT))
+      val gh = new MpiHistogram(lh.scan, radix.fan, ctx)
+      val ex = new MpiExchange(keyed, lh.scan, gh, radix, ctx, compress = true)
       val out = ex.drain()
       assert(ex.outType.typeOf("data") ==
         CollectionType(TupleType.of("khi" -> Atom.LongA, "v" -> Atom.LongA)))
@@ -114,15 +111,31 @@ class MpiOpsSpec extends AnyFunSuite {
     assert(stats.map(s => s.bytesCross + s.bytesLocal).sum == 2 * 16 * 8)
   }
 
+  test("MpiExchange refuses to compress unless its radix drops the key's low bits") {
+    val histT = TupleType.of("bucket" -> Atom.IntA, "count" -> Atom.LongA)
+    val hist = new VectorSource(Vector(Array[Any](0, 0L), Array[Any](1, 0L)), histT)
+    new MpiRuntime(1).run { ctx =>
+      // The word drops the low radix.bits bits, which a radix at shift 1
+      // does not partition on: they could not be recovered from the npid.
+      val e = intercept[IllegalArgumentException](
+        new MpiExchange(src(), hist, hist, Radix(1, 1), ctx, compress = true))
+      assert(e.getMessage.contains("shift 0"))
+      new MpiExchange(src(), hist, hist, Radix(1, 1), ctx) // uncompressed: any radix
+      // Only ⟨long, long⟩ tuples fit the word.
+      val longStr = new VectorSource(Vector.empty[Array[Any]], TupleType.of("k" -> Atom.LongA, "s" -> Atom.StringA))
+      intercept[IllegalArgumentException](new MpiExchange(longStr, hist, hist, Radix(0, 1), ctx, compress = true))
+    }
+  }
+
   test("MpiExchange ownerShift rotates partition placement consistently") {
     val n = 2
     val rt = new MpiRuntime(n)
     val results = rt.run { ctx =>
       val rows = (0L until 8L).map(k => k -> 0L)
       def keyed = src(rows: _*)
-      val lh = new Shared(new LocalHistogram(keyed, 2, bucketOf(2)), new ParamSlot(PairT))
+      val lh = new Shared(new LocalHistogram(keyed, 2, Radix(0, 1)), new ParamSlot(PairT))
       val gh = new MpiHistogram(lh.scan, 2, ctx)
-      val ex = new MpiExchange(keyed, lh.scan, gh, 2, bucketOf(2), ctx, ownerShift = 1)
+      val ex = new MpiExchange(keyed, lh.scan, gh, Radix(0, 1), ctx, ownerShift = 1)
       ex.drain().map(_(0).asInstanceOf[Int]).toSeq
     }
     assert(results(0) == Seq(1)) // partition 1 now owned by rank 0

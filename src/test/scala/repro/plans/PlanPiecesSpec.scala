@@ -21,6 +21,23 @@ class PlanPiecesSpec extends AnyFunSuite {
   test("DistConfig fanouts derive from bit widths") {
     val c = cfg(4)
     assert(c.netFan == 8 && c.localFan == 4)
+    assert(c.netRadix == Radix(0, 3) && c.localRadix == Radix(3, 2))
+  }
+
+  test("DistConfig and Radix refuse bit widths whose fanout overflows an Int") {
+    // 1 << 32 wraps to 1: the exchange would drop no bits while restoreKeys
+    // shifted by 32, and netBits = 31 would give a negative fanout.
+    for (bits <- Seq(31, 32)) {
+      val e = intercept[IllegalArgumentException](
+        DistConfig(nRanks = 1, net = net, netBits = bits, localBits = 2))
+      assert(e.getMessage.contains("0 to 30 key bits"), e.getMessage)
+    }
+    intercept[IllegalArgumentException](DistConfig(nRanks = 1, net = net, netBits = 3, localBits = 31))
+    intercept[IllegalArgumentException](Radix(0, -1))
+    intercept[IllegalArgumentException](Radix(-1, 2))
+    val e = intercept[IllegalArgumentException](Radix(40, 30))
+    assert(e.getMessage.contains("inside the 64-bit key"), e.getMessage)
+    assert(Radix(0, 30).fan == (1 << 30) && Radix(34, 30).of(-1L) == (1 << 30) - 1)
   }
 
   test("scanField dissects a collection field of the slot tuple") {
@@ -31,8 +48,8 @@ class PlanPiecesSpec extends AnyFunSuite {
     assert(asPairs(s.drain().toSeq) == Seq(1L -> 10L, 2L -> 20L))
   }
 
-  test("netPartOf uses the identity-radix low bits") {
-    val f = netPartOf(cfg(4)) // netFan 8
+  test("netRadix uses the identity-radix low bits") {
+    val f = cfg(4).netRadix // netFan 8
     assert(f(Array[Any](5L, 0L)) == 5)
     assert(f(Array[Any](8L, 0L)) == 0)
     assert(f(Array[Any](13L, 0L)) == 5)
@@ -42,6 +59,7 @@ class PlanPiecesSpec extends AnyFunSuite {
     val c = cfg(4)
     val raw = localPartOf(c, compressed = false)
     val com = localPartOf(c, compressed = true)
+    assert(raw == Radix(c.netBits, 2) && com == Radix(0, 2))
     val k = 0x5DL // binary 101_1101: net bits 101, local bits 11
     assert(raw(Array[Any](k, 0L)) == 3)
     // A compressed exchange delivers ⟨khi, v⟩ with khi = k >>> netBits; the
@@ -56,9 +74,8 @@ class PlanPiecesSpec extends AnyFunSuite {
     val c = cfg(2)
     val slotT = TupleType.of("npid" -> Atom.IntA, "x" -> Atom.LongA)
     val slot = new ParamSlot(slotT)
-    slot.current = Array[Any](5, 0L)
-    val khi = 42L >>> c.netBits // key 42 = khi<<3 | (42 & 7); partition 42&7=2... use matching npid
-    slot.current = Array[Any]((42L & (c.netFan - 1)).toInt, 0L)
+    val khi = 42L >>> c.netBits // key 42 = khi << 3 | 42 & 7, in network partition 2
+    slot.current = Array[Any](c.netRadix.of(42L), 0L)
     val up = new VectorSource(Vector(Array[Any](khi, 99L)),
       TupleType.of("khi" -> Atom.LongA, "v" -> Atom.LongA))
     val restored = restoreKeys(up, slot, "npid", c).drainOne()

@@ -8,9 +8,9 @@ import repro.plans.PlanPieces.DistConfig
 import repro.plans.RadixJoinPlan.JoinSpec
 
 /** Inputs outside the radix-compressed word's domain (0 ≤ v < 2^32,
-  * 0 ≤ k < 2^(32+F)) on 2 ranks with F = netBits = 3: every compressed path
-  * refuses them with an IllegalArgumentException, every uncompressed path
-  * returns the reference answer.
+  * 0 ≤ k < 2^(32+F), no nulls) on 2 ranks with F = netBits = 3: every
+  * compressed path refuses them with an IllegalArgumentException, every
+  * uncompressed path returns the reference answer.
   */
 class RadixDomainSpec extends AnyFunSuite {
   private val nRanks = 2
@@ -62,6 +62,27 @@ class RadixDomainSpec extends AnyFunSuite {
 
   test("keys 8 and 8 + 2^35 do not match") {
     checkJoin(rows(Seq(8L -> 1L)), rows(Seq((8L + (1L << 35)) -> 2L)), 0)
+  }
+
+  // Workloads.referenceJoin unboxes a null to 0, so the SQL answers of the
+  // two null cases are written out by hand.
+  test("null keys and payloads") {
+    val r = Array(Array[Any](null, 5L), Array[Any](8L, 1L))
+    val s = Array(Array[Any](0L, 7L), Array[Any](8L, null))
+    // A null key matches nothing; a null payload is carried as it is.
+    assert(canon(modularJoin(r, s, compress = false)) == Map(Seq[Any](8L, 1L, null) -> 1))
+    intercept[IllegalArgumentException](modularJoin(r, s, compress = true))
+    intercept[IllegalArgumentException](MonolithicRadixJoin.run(
+      Workloads.shard(r, nRanks), Workloads.shard(s, nRanks), nRanks, net, 3, 2))
+  }
+
+  test("GROUP BY with a null key") {
+    val data = Array(Array[Any](null, 5L), Array[Any](0L, 1L), Array[Any](0L, 2L))
+    def groupBy(compress: Boolean) =
+      GroupByPlan.driver(Workloads.shard(data, nRanks), Workloads.PairType, cfg(compress))._1.drain()
+    // The null key is a group of its own.
+    assert(canon(groupBy(compress = false)) == Map(Seq[Any](null, 5L) -> 1, Seq[Any](0L, 3L) -> 1))
+    intercept[IllegalArgumentException](groupBy(compress = true))
   }
 
   test("GROUP BY with negative values") {

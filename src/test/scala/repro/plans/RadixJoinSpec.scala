@@ -75,6 +75,25 @@ class RadixJoinSpec extends AnyFunSuite {
     assert(u == 2 * c, s"compression should halve wire bytes: compressed=$c uncompressed=$u")
   }
 
+  test("compress = true sends sides that are not ⟨long,long⟩ uncompressed") {
+    val nRanks = 2
+    val rStr = (0 until 64).map(i => Array[Any](i.toLong, s"r$i")).toArray
+    val sStr = (0 until 64).map(i => Array[Any](i * 2L, s"s$i")).toArray
+    val rStrT = TupleType.of("k" -> Atom.LongA, "rs" -> Atom.StringA)
+    val sStrT = TupleType.of("k" -> Atom.LongA, "ss" -> Atom.StringA)
+    val longs = Workloads.densePairs(64, 1, seed = 8)
+    def check(r: Array[Array[Any]], rT: TupleType, s: Array[Array[Any]], sT: TupleType): Unit = {
+      val got = RadixJoinPlan.driver(Workloads.shard(r, nRanks), Workloads.shard(s, nRanks), rT, sT,
+        JoinSpec(cfg(nRanks)))._1.drain().map(_.toSeq)
+      val exp = for (a <- r.toSeq; b <- s.toSeq if a(0) == b(0)) yield a.toSeq ++ b.toSeq.tail
+      assert(got.nonEmpty && got.sortBy(_.mkString(",")) == exp.sortBy(_.mkString(",")))
+    }
+    check(rStr, rStrT, sStr, sStrT)
+    // One side compressed alone: its key is restored before the join.
+    check(rStr, rStrT, longs, Workloads.pairTypeNamed("sv"))
+    check(longs, Workloads.pairTypeNamed("rv"), sStr, sStrT)
+  }
+
   test("per-rank phase timers cover the paper's Fig 6 phases") {
     val n = 256
     val r = Workloads.densePairs(n, 1, seed = 1)
