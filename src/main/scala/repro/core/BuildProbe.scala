@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import scala.util.hashing.byteswap32
 
 /** Join variants. The paper's extensibility claim (§5.1.1) is that new join
@@ -53,7 +52,7 @@ final class BuildProbe(
   // al., ICDE 2013): row i sits in rows(i) with its key hash in hashes(i);
   // bucket b's chain starts at head(b) and continues through chain(i), -1
   // ending it. Chains run in build order, so matches come out in that order.
-  private var rows: mutable.ArrayBuffer[Array[Any]] = _
+  private var rows: RowVec = _
   private var hashes: Array[Int] = _
   private var chain: Array[Int] = _
   private var head: Array[Int] = _

@@ -35,11 +35,11 @@ final class RowScan(up: SubOp, field: String) extends SubOp {
 
   override def close(): Unit = { up.close(); cur = null }
 
-  /** Everything this scan emits, as one collection, from one pass over its
-    * input: the input's collection itself when the input yields exactly
-    * one, so an already materialized collection is not copied.
+  /** Everything this scan emits, from one pass over its input: the input's
+    * collection itself when the input yields exactly one, so an already
+    * materialized collection is not copied.
     */
-  def collection(): RowVec = {
+  override def drain(): RowVec = {
     up.open()
     val first = up.next()
     var out: RowVec = if (first == null) ArrayBuffer.empty else first(idx).asInstanceOf[RowVec]
@@ -80,8 +80,8 @@ final class MaterializeRowVector(up: SubOp, field: String = "data") extends SubO
 /** Materialization point for multi-consumer DAG edges (paper §3.2 pipeline
   * cutting): the wrapped operator runs once per invocation of `scope`; each
   * consumer obtains an independent replay scan over the buffered result.
-  * A [[RowScan]] of a collection that is already materialized needs no
-  * buffer: its collection is replayed as it is.
+  * The buffer is what `up.drain()` returns, so a [[RowScan]] of a collection
+  * that is already materialized replays that collection as it is.
   *
   * Plans are constructed once but nested plans are re-opened per input
   * tuple of their scope, so the buffer belongs to one invocation: the first
@@ -93,16 +93,11 @@ final class Shared(up: SubOp, scope: ParamSlot) {
   private var buf: RowVec = _
   private var drainedAt = -1L
 
-  private def materialize(): RowVec = up match {
-    case rs: RowScan => rs.collection()
-    case _           => up.drain()
-  }
-
   def scan: SubOp = new SubOp {
     override val outType: TupleType = up.outType
     private var i = 0
     override def open(): Unit = {
-      if (drainedAt != scope.epoch) { buf = materialize(); drainedAt = scope.epoch }
+      if (drainedAt != scope.epoch) { buf = up.drain(); drainedAt = scope.epoch }
       i = 0
     }
     override def next(): Array[Any] = {
@@ -110,6 +105,7 @@ final class Shared(up: SubOp, scope: ParamSlot) {
       if (i >= b.length) null else { val t = b(i); i += 1; t }
     }
     override def close(): Unit = ()
+    override def drain(): RowVec = { open(); buf }
     override def render: String = s"SharedScan(${up.render})"
   }
 }

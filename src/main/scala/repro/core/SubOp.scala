@@ -22,8 +22,12 @@ trait SubOp {
 
   def close(): Unit
 
-  /** Run the operator to completion and collect all tuples. */
-  final def drain(): ArrayBuffer[Array[Any]] = {
+  /** Run the operator to completion and collect all tuples. The result may
+    * be a collection that this operator or its input already holds, and
+    * other consumers may get the same collection back, so no caller
+    * mutates it.
+    */
+  def drain(): RowVec = {
     open()
     val b = new ArrayBuffer[Array[Any]]()
     var t = next()
@@ -85,6 +89,7 @@ final class VectorSource(rows: RowVec, override val outType: TupleType)
     if (i >= rows.length) null
     else { val t = rows(i); i += 1; t }
   override def close(): Unit = ()
+  override def drain(): RowVec = rows
 }
 
 /** Source over a re-creatable iterator (the Spark port feeds partition

@@ -15,9 +15,10 @@ object GroupByPlan {
 
   /** The flattened per-rank stream of ⟨k, v⟩ groups. */
   def rankPlan(slot: ParamSlot, ctx: MpiContext, cfg: DistConfig): SubOp = {
-    // Post-aggregation at each unnesting level (paper §4.3) — with radix
-    // partitioning the groups are disjoint across partitions, so this is
-    // a cheap pass-through, but the plan keeps the operator as described.
+    // Post-aggregation at each unnesting level (paper §4.3). With radix
+    // partitioning the groups are disjoint across partitions, so each
+    // level's result equals its input, yet it re-hashes every group; the
+    // plan keeps the operator as the paper describes it.
     val level: SubOp => SubOp = new ReduceByKey(_, "k", sumLongValue)
     partitioned(Seq(scanField(slot, "data")), slot, ctx, cfg, Phase.aggregate,
         levelAgg = level) { (s, restore) =>
@@ -40,7 +41,7 @@ object GroupByPlan {
       cfg: DistConfig,
       mergeAtDriver: Boolean = true,
   ): (SubOp, MpiExecutor) = {
-    val (flat, exec) = onCluster(cfg, Seq(("data", elemType, parts)))(rankPlan(_, _, cfg))
+    val (flat, exec) = onCluster(cfg, Seq(("data", elemType, parts)), Phase.aggregate)(rankPlan(_, _, cfg))
     (if (mergeAtDriver) new ReduceByKey(flat, "k", sumLongValue) else flat, exec)
   }
 }

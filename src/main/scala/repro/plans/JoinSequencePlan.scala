@@ -64,7 +64,7 @@ object JoinSequencePlan {
   ): (SubOp, MpiExecutor) = {
     val nRel = relParts.size
     require(nRel >= 2)
-    onCluster(cfg, relParts.indices.map(i => (relField(i), relType(i), relParts(i)))) {
+    onCluster(cfg, relParts.indices.map(i => (relField(i), relType(i), relParts(i))), Phase.buildProbe) {
       (slot, ctx) =>
         if (optimized) optimizedRankPlan(slot, ctx, cfg, nRel)
         else naiveRankPlan(slot, ctx, cfg, nRel)

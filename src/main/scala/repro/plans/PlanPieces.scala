@@ -141,8 +141,9 @@ object PlanPieces {
     *
     * The body's result is materialized per sub-partition, and `levelAgg`'s
     * result per network partition; both materializations are timed as
-    * `phase`. `levelAgg` runs after each unnesting. `slot` is the rank's
-    * slot, the scope of the exchanges.
+    * `phase`. `levelAgg` runs after each unnesting, the last time on the
+    * returned stream, which [[onCluster]] drains under the same phase.
+    * `slot` is the rank's slot, the scope of the exchanges.
     * Returns the flattened per-rank stream.
     */
   def partitioned(
@@ -178,17 +179,19 @@ object PlanPieces {
   /** Driver plan of every distributed plan: give rank r the tuple of its
     * shards ⟨field_i = shards_i(r)⟩, run `rankStream` on the simulated
     * cluster via MpiExecutor (materialized, one result tuple per rank) and
-    * flatten the per-rank results. Returns (driver-side stream, executor);
-    * the executor's `report` holds what the ranks measured.
+    * flatten the per-rank results. The per-rank materialization, with
+    * whatever of `rankStream` no inner phase covers, is timed as `phase`,
+    * the plan's body phase. Returns (driver-side stream, executor); the
+    * executor's `report` holds what the ranks measured.
     */
-  def onCluster(cfg: DistConfig, rels: Seq[(String, TupleType, Vector[RowVec])])(
+  def onCluster(cfg: DistConfig, rels: Seq[(String, TupleType, Vector[RowVec])], phase: Phase.Value)(
       rankStream: (ParamSlot, MpiContext) => SubOp): (SubOp, MpiExecutor) = {
     require(rels.forall(_._3.size == cfg.nRanks),
       s"every relation needs exactly one shard per rank (${cfg.nRanks})")
     val inType = TupleType(rels.map { case (f, t, _) => f -> (CollectionType(t): ItemType) }.toVector)
     val rows = (0 until cfg.nRanks).map(r => rels.map(_._3(r)).toArray[Any])
     val exec = new MpiExecutor(new VectorSource(rows, inType), cfg.nRanks, cfg.net,
-      (slot, ctx) => new MaterializeRowVector(rankStream(slot, ctx), "data"))
+      (slot, ctx) => new Timed(new MaterializeRowVector(rankStream(slot, ctx), "data"), ctx.timer, phase))
     (new RowScan(exec, "data"), exec)
   }
 

@@ -58,6 +58,6 @@ object RadixJoinPlan {
       sRawType: TupleType,
       spec: JoinSpec,
   ): (SubOp, MpiExecutor) =
-    onCluster(spec.cfg, Seq(("r", rRawType, rParts), ("s", sRawType, sParts)))(
+    onCluster(spec.cfg, Seq(("r", rRawType, rParts), ("s", sRawType, sParts)), Phase.buildProbe)(
       rankJoinStream(_, _, spec))
 }

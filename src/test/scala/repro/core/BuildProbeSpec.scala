@@ -94,6 +94,16 @@ class BuildProbeSpec extends AnyFunSuite {
     assert(new BuildProbe(l, r, Seq("k")).drain().size == 1)
   }
 
+  test("a build side that is a RowScan of one collection joins in place, also when re-opened") {
+    val built = pairs(1L -> 10L, 2L -> 20L, 2L -> 21L)
+    val outer = new VectorSource(Vector(Array[Any](built)), TupleType.of("data" -> CollectionType(LT)))
+    val bp = new BuildProbe(new RowScan(outer, "data"), rsrc(2L -> 200L, 3L -> 300L), Seq("k"))
+    val once = bp.drain().map(_.toSeq)
+    assert(once == Seq(Seq(2L, 20L, 200L), Seq(2L, 21L, 200L)))
+    assert(bp.drain().map(_.toSeq) == once)
+    assert(asPairs(built.toSeq) == Seq(1L -> 10L, 2L -> 20L, 2L -> 21L))
+  }
+
   test("property: inner join agrees with reference nested-loop join") {
     val rnd = new Random(11)
     for (_ <- 1 to 30) {

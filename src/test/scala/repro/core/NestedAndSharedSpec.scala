@@ -8,12 +8,16 @@ class NestedAndSharedSpec extends AnyFunSuite {
 
   test("RowScan unnests a collection field") {
     val inner: RowVec = pairs(1L -> 10L, 2L -> 20L)
+    val outerRows = ArrayBuffer(Array[Any](7, inner))
     val outer = new VectorSource(
-      ArrayBuffer(Array[Any](7, inner)),
+      outerRows,
       TupleType.of("npid" -> Atom.IntA, "data" -> CollectionType(PairT)))
     val rs = new RowScan(outer, "data")
     assert(rs.outType == PairT)
     assert(asPairs(rs.drain().toSeq) == Seq(1L -> 10L, 2L -> 20L))
+    // Collections that already exist are handed on, not copied.
+    assert(outer.drain() eq outerRows)
+    assert(new MaterializeRowVector(rs, "data").drainOne()(0).asInstanceOf[AnyRef] eq inner)
   }
 
   test("RowScan flattens across multiple upstream tuples, including empties") {
@@ -89,7 +93,7 @@ class NestedAndSharedSpec extends AnyFunSuite {
       private var i = 0
       override def open(): Unit = { opens += 1; i = 0 }
       override def next(): Array[Any] =
-        if (i >= 2) null else { i += 1; Array[Any](i.toLong, i.toLong) }
+        if (i >= 2) null else { i += 1; Array[Any](i.toLong, opens.toLong) }
       override def close(): Unit = ()
     }
     val slot = new ParamSlot(PairT)
@@ -97,13 +101,15 @@ class NestedAndSharedSpec extends AnyFunSuite {
     val s1 = sh.scan
     val s2 = sh.scan
     slot.current = Array[Any](1L, 1L)
-    assert(s1.drain().size == 2)
-    assert(s2.drain().size == 2)
+    val first = s1.drain()
+    assert(asPairs(first.toSeq) == Seq(1L -> 1L, 2L -> 1L))
+    assert(s2.drain() eq first)
     assert(opens == 1) // one invocation: both consumers, one materialization
     // second invocation: both consumers re-open → exactly one more run
     slot.current = Array[Any](2L, 2L)
-    assert(s1.drain().size == 2)
-    assert(s2.drain().size == 2)
+    val second = s1.drain()
+    assert(asPairs(second.toSeq) == Seq(1L -> 2L, 2L -> 2L))
+    assert(s2.drain() eq second)
     assert(opens == 2)
   }
 
