@@ -48,6 +48,9 @@ final class BuildProbe(
         pType.without(joinAttrs.toSet)
   }
 
+  // Inner and Outer build every output row; Semi and Anti pass the probe row through.
+  override val freshRows: Boolean = kind == JoinKind.Inner || kind == JoinKind.Outer
+
   // Bucket-chained hash table over the build rows (the layout of Balkesen et
   // al., ICDE 2013): row i sits in rows(i) with its key hash in hashes(i);
   // bucket b's chain starts at head(b) and continues through chain(i), -1

@@ -22,6 +22,13 @@ trait SubOp {
 
   def close(): Unit
 
+  /** The row half of the ownership contract: `true` when every row `next()`
+    * returns is a new array that no one else holds, so a consumer may write
+    * into it. Operators that pass rows through, or hand out rows a
+    * collection holds, keep the default.
+    */
+  def freshRows: Boolean = false
+
   /** Run the operator to completion and collect all tuples. The result may
     * be a collection that this operator or its input already holds, and
     * other consumers may get the same collection back, so no caller

@@ -31,9 +31,11 @@ object GroupByPlan {
     * groups, executor whose `report` holds what the ranks measured).
     *
     * With radix partitioning the per-rank groups are disjoint, so the
-    * driver merge is a logical identity; `mergeAtDriver = false` skips it
-    * (benches use this so a single-threaded driver re-hash of millions of
-    * already-final groups does not mask the cluster-scaling shape).
+    * driver merge is a logical identity; `mergeAtDriver = false` skips it.
+    * `bench.GroupByBench` does, so a single-threaded driver re-hash of
+    * millions of already-final groups does not mask the cluster-scaling
+    * shape; every other caller, perfbench's groupby-dup8 included, takes
+    * the default merge.
     */
   def driver(
       parts: Vector[RowVec],

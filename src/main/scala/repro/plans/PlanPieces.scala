@@ -101,6 +101,8 @@ object PlanPieces {
   /** Recover the partition bits dropped by the compression (ParametrizedMap
     * fed the networkPartitionID, §4.1.2): field 0 `khi` becomes the full key
     * `k`. Works on any stream whose field 0 is the key's high bits `khi`.
+    * Rows of an upstream with [[SubOp.freshRows]] are restored in place;
+    * any other row is cloned first.
     */
   def restoreKeys(
       up: SubOp,
@@ -110,11 +112,12 @@ object PlanPieces {
   ): SubOp = {
     val netBits = cfg.netBits
     val outT = TupleType(("k" -> (Atom.LongA: ItemType)) +: up.outType.fields.tail)
+    val inPlace = up.freshRows
     new ParametrizedMap(
       up,
       new Projection(new ParameterLookup(slotWithNpid), Seq(npidField)),
       (param, t) => {
-        val out = t.clone()
+        val out = if (inPlace) t else t.clone()
         out(0) = MpiExchange.restoreKey(
           t(0).asInstanceOf[Long], param(0).asInstanceOf[Int], netBits)
         out
@@ -195,7 +198,9 @@ object PlanPieces {
     (new RowScan(exec, "data"), exec)
   }
 
-  /** ⟨k, v⟩ long-pair sum combiner for ReduceByKey (key already stripped). */
+  /** ⟨k, v⟩ long-pair sum combiner for ReduceByKey (key already stripped):
+    * adds into the accumulator `a`, which ReduceByKey owns, and returns it.
+    */
   val sumLongValue: (Array[Any], Array[Any]) => Array[Any] =
-    (a, b) => Array[Any](a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long])
+    (a, b) => { a(0) = a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long]; a }
 }

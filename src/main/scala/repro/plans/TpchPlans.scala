@@ -86,10 +86,13 @@ object TpchPlans {
     QueryRun(spec.levelAgg(stream).drain().toSeq, exec)
   }
 
+  /** ReduceByKey combiner: adds into the accumulator it owns. */
   private val sumPairLong: (Array[Any], Array[Any]) => Array[Any] =
-    (a, b) => Array[Any](
-      a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long],
-      a(1).asInstanceOf[Long] + b(1).asInstanceOf[Long])
+    (a, b) => {
+      a(0) = a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long]
+      a(1) = a(1).asInstanceOf[Long] + b(1).asInstanceOf[Long]
+      a
+    }
 
   private val sumPairDouble: (Array[Any], Array[Any]) => Array[Any] =
     (a, b) => Array[Any](
@@ -116,8 +119,7 @@ object TpchPlans {
 
     val aggT = TupleType.of("pri" -> Atom.StringA, "order_count" -> Atom.LongA)
     val post: SubOp => SubOp = up => new MapOp(up, t => Array[Any](t(1), 1L), aggT)
-    val agg: SubOp => SubOp = up => new ReduceByKey(up, "pri",
-      (a, b) => Array[Any](a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long]))
+    val agg: SubOp => SubOp = up => new ReduceByKey(up, "pri", sumLongValue)
 
     val spec = JoinSpec(cfg, kind = JoinKind.Semi,
       preR = preLi, preS = preOrd, postJoin = post, levelAgg = agg)

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.plans.PlanPieces
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
@@ -82,15 +83,15 @@ class HashTableSpec extends AnyFunSuite {
     }
   }
 
-  /** Linear fold with ReduceByKey's contract: key-stripped sums per key,
-    * groups in first-occurrence order.
+  /** Linear fold with ReduceByKey's contract: `op` over each key's values
+    * (sums by default), groups in first-occurrence order.
     */
-  private def fold(rows: Seq[Array[Any]]): Seq[Seq[Any]] = {
+  private def fold(rows: Seq[Array[Any]], op: (Long, Long) => Long = _ + _): Seq[Seq[Any]] = {
     val groups = ArrayBuffer.empty[(Any, Long)]
     rows.foreach { t =>
       val g = groups.indexWhere(_._1 == t(0))
       if (g < 0) groups += (t(0) -> t(1).asInstanceOf[Long])
-      else groups(g) = (t(0), groups(g)._2 + t(1).asInstanceOf[Long])
+      else groups(g) = (t(0), op(groups(g)._2, t(1).asInstanceOf[Long]))
     }
     groups.map { case (k, s) => Seq(k, s) }.toSeq
   }
@@ -104,6 +105,28 @@ class HashTableSpec extends AnyFunSuite {
         (a, b) => Array[Any](a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long])).drain().map(_.toSeq)
       assert(got == fold(rows.toSeq), s"domain $domain")
     }
+  }
+
+  test("ReduceByKey: a combine that returns its second argument keeps the last value") {
+    // The second argument is the operator's scratch array; a group that
+    // takes it as its accumulator must not see the next tuple's values.
+    val rnd = new Random(55)
+    for (domain <- Seq(3, 40, 500)) {
+      val rows = relation(rnd, 3 * domain, 1, domain, 0.02)
+      val got = new ReduceByKey(new VectorSource(rows, schema(1, "v")), "k0", (_, b) => b)
+        .drain().map(_.toSeq)
+      assert(got == fold(rows.toSeq, (_, b) => b), s"domain $domain")
+    }
+  }
+
+  test("ReduceByKey with the in-place sumLongValue leaves its source's rows unchanged") {
+    val rnd = new Random(57)
+    val rows = relation(rnd, 600, 1, 200, 0.02)
+    val before = rows.map(_.toSeq)
+    val got = new ReduceByKey(new VectorSource(rows, schema(1, "v")), "k0", PlanPieces.sumLongValue)
+      .drain().map(_.toSeq)
+    assert(got == fold(rows.toSeq))
+    assert(rows.map(_.toSeq) == before)
   }
 
   test("ReduceByKey: equal-## keys stay apart, 1 and 1L group together, empty input is empty") {

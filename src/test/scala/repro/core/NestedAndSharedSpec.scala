@@ -86,6 +86,21 @@ class NestedAndSharedSpec extends AnyFunSuite {
     assert(asPairs(nm.drain().toSeq) == Seq(3L -> 3L, 10L -> 10L))
   }
 
+  test("a ReduceByKey re-opened by a NestedMap returns only the current invocation's groups") {
+    // 500 groups grow the table; the second invocation's 3 keys reuse it.
+    val outerT = TupleType.of("data" -> CollectionType(PairT))
+    val big = pairs((0 until 1000).map(i => (i % 500).toLong -> 1L): _*)
+    val small = pairs(0L -> 5L, 1L -> 6L, 0L -> 7L, 2L -> 8L)
+    val outer = new VectorSource(ArrayBuffer(Array[Any](big), Array[Any](small)), outerT)
+    val nm = new NestedMap(outer, slot => new MaterializeRowVector(
+      new ReduceByKey(new RowScan(new ParameterLookup(slot), "data"), "k",
+        (a, b) => { a(0) = a(0).asInstanceOf[Long] + b(0).asInstanceOf[Long]; a }),
+      "groups"))
+    val Seq(first, second) = nm.drain().map(t => asPairs(t(0).asInstanceOf[RowVec].toSeq)).toSeq
+    assert(first == (0 until 500).map(_.toLong -> 2L))
+    assert(second == Seq(0L -> 12L, 1L -> 6L, 2L -> 8L))
+  }
+
   test("Shared materializes once per invocation and replays to all consumers") {
     var opens = 0
     val counted = new SubOp {

@@ -81,6 +81,22 @@ class PlanPiecesSpec extends AnyFunSuite {
     val restored = restoreKeys(up, slot, "npid", c).drainOne()
     assert(restored(0) == 42L)
     assert(restored(1) == 99L)
+    assert(up.drain().head.toSeq == Seq(khi, 99L))
+  }
+
+  test("restoreKeys clones the probe rows a Semi or Anti BuildProbe passes through") {
+    val c = cfg(2)
+    val slot = new ParamSlot(TupleType.of("npid" -> Atom.IntA))
+    slot.current = Array[Any](c.netRadix.of(42L))
+    val khiT = TupleType.of("khi" -> Atom.LongA, "v" -> Atom.LongA)
+    val probe = Vector(Array[Any](42L >>> c.netBits, 1L), Array[Any](50L >>> c.netBits, 2L))
+    val build = Vector(Array[Any](42L >>> c.netBits, 0L))
+    for ((kind, key) <- Seq(JoinKind.Semi -> 42L, JoinKind.Anti -> 50L)) {
+      val bp = new BuildProbe(new VectorSource(build, khiT), new VectorSource(probe, khiT), Seq("khi"), kind)
+      assert(!bp.freshRows)
+      assert(restoreKeys(bp, slot, "npid", c).drain().map(_(0)) == Seq(key), s"$kind")
+      assert(probe.map(_(0)) == Seq(42L >>> c.netBits, 50L >>> c.netBits), s"$kind")
+    }
   }
 
   test("exchangePipeline partitions a keyed stream across ranks") {

@@ -121,6 +121,27 @@ class RadixJoinSpec extends AnyFunSuite {
     assert(got == (0 until 16).map(_ * 4L).toSeq.sorted)
   }
 
+  test("distributed Semi and Anti joins over compressed sides match a nested loop and leave the shards unchanged") {
+    val nRanks = 2
+    // Build keys 0, 3, ..., 87, the first ten twice; probe keys 0..127.
+    val b = (0 until 40).map(i => Array[Any](((i % 30) * 3).toLong, i.toLong)).toArray
+    val p = Workloads.densePairs(128, 1, seed = 9)
+    val bShards = Workloads.shard(b, nRanks)
+    val pShards = Workloads.shard(p, nRanks)
+    def contents = (bShards ++ pShards).map(_.map(_.toSeq).toSeq)
+    val before = contents
+    for (kind <- Seq(JoinKind.Semi, JoinKind.Anti)) {
+      val matched = (pt: Array[Any]) => b.exists(_(0) == pt(0))
+      val exp = p.filter(pt => matched(pt) == (kind == JoinKind.Semi)).map(_.toSeq).toSeq.sortBy(_.mkString(","))
+      for (run <- 1 to 2) {
+        val (stream, _) = RadixJoinPlan.driver(bShards, pShards,
+          Workloads.pairTypeNamed("bv"), Workloads.pairTypeNamed("pv"), JoinSpec(cfg(nRanks), kind = kind))
+        assert(stream.drain().map(_.toSeq).toSeq.sortBy(_.mkString(",")) == exp, s"$kind run $run")
+        assert(contents == before, s"$kind run $run")
+      }
+    }
+  }
+
   test("pre-side hooks filter and project before the exchange") {
     val nRanks = 2
     val r = Workloads.densePairs(64, 1, seed = 4)
