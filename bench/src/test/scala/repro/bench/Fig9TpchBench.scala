@@ -24,7 +24,7 @@ class Fig9TpchBench extends SparkSpec {
   test("shape: the interpreted CSV engine is slower than Modularis read+exec") {
     val csv = VolcanoTpch.Tables.write(
       TpchLite.tables(spark, 0.05), Files.createTempDirectory("tpch-shape").toFile)
-    val cfg = cluster(4, compress = false)
+    val cfg = cluster(4)
     val modMs = best(3) {
       timeMs(TpchPlans.q4(TpchCsv.load(csv, 8, Set("lineitem", "orders")), cfg))._2
     }(identity)

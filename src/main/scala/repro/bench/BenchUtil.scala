@@ -15,10 +15,10 @@ object BenchUtil {
     * cross-machine bandwidth and 1.5 µs per message, 2^5 network and 2^4
     * local partitions.
     */
-  def cluster(machines: Int, compress: Boolean = true): DistConfig = DistConfig(
+  def cluster(machines: Int): DistConfig = DistConfig(
     nRanks = machines * 2,
     net = NetConfig(ranksPerMachine = 2, crossBytesPerSec = 3_000_000_000L, msgLatencyNanos = 1_500),
-    netBits = 5, localBits = 4, compress = compress)
+    netBits = 5, localBits = 4)
 
   def envInt(name: String, default: Int): Int =
     sys.env.get(name).map(_.toInt).getOrElse(default)

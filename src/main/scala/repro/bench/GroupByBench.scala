@@ -13,7 +13,7 @@ import BenchUtil._
 object GroupByBench {
 
   private def runOn(parts: Vector[RowVec], c: DistConfig): (Double, Long) = {
-    val (stream, _) = GroupByPlan.driver(parts, Workloads.PairType, c, mergeAtDriver = false)
+    val (stream, _) = GroupByPlan.driver(parts, Workloads.PairType, c)
     val (groups, ms) = drainTimed(stream)
     (ms, groups)
   }

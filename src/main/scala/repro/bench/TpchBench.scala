@@ -64,7 +64,7 @@ object TpchBench {
   }
 
   def run(spark: SparkSession, sf: Double): String = {
-    val cfg = cluster(8, compress = false)
+    val cfg = cluster(8)
 
     // ---- storage bootstrap: cached Spark tables → CSV files
     val tables = TpchLite.tables(spark, sf)

@@ -9,7 +9,7 @@ import PlanPieces._
   * Fig 5 (§4.3). The input is exchanged with the same radix compression as
   * the join; the final aggregation runs per local partition inside the
   * second NestedMap, and — exactly as the paper describes — a ReduceByKey is
-  * inserted at every unnesting level and once more at the driver.
+  * inserted at every unnesting level.
   */
 object GroupByPlan {
 
@@ -26,24 +26,11 @@ object GroupByPlan {
     }
   }
 
-  /** Driver plan: per-rank nested plans plus the final driver-side
-    * post-aggregation of all workers' results. Returns (stream of ⟨k, v⟩
-    * groups, executor whose `report` holds what the ranks measured).
-    *
-    * With radix partitioning the per-rank groups are disjoint, so the
-    * driver merge is a logical identity; `mergeAtDriver = false` skips it.
-    * `bench.GroupByBench` does, so a single-threaded driver re-hash of
-    * millions of already-final groups does not mask the cluster-scaling
-    * shape; every other caller, perfbench's groupby-dup8 included, takes
-    * the default merge.
+  /** Driver plan: the ranks' flattened groups. Radix partitioning sends each
+    * key to exactly one rank, so the ranks' groups are disjoint and each key
+    * comes out once. Returns (stream of ⟨k, v⟩ groups, executor whose
+    * `report` holds what the ranks measured).
     */
-  def driver(
-      parts: Vector[RowVec],
-      elemType: TupleType,
-      cfg: DistConfig,
-      mergeAtDriver: Boolean = true,
-  ): (SubOp, MpiExecutor) = {
-    val (flat, exec) = onCluster(cfg, Seq(("data", elemType, parts)), Phase.aggregate)(rankPlan(_, _, cfg))
-    (if (mergeAtDriver) new ReduceByKey(flat, "k", sumLongValue) else flat, exec)
-  }
+  def driver(parts: Vector[RowVec], elemType: TupleType, cfg: DistConfig): (SubOp, MpiExecutor) =
+    onCluster(cfg, Seq(("data", elemType, parts)), Phase.aggregate)(rankPlan(_, _, cfg))
 }

@@ -76,12 +76,18 @@ case class ModularisAggExec(
         (if (groupless) 0L else boundGroup.map(_.eval(row)).toVector) +:
           contributions.map(_.eval(row))
 
-      // Null-skipping add of the key-stripped accumulator tuples.
-      def combine(a: Array[Any], b: Array[Any]): Array[Any] = Array.tabulate[Any](nAggs) { i =>
-        if (a(i) == null) b(i)
-        else if (b(i) == null) a(i)
-        else if (isDouble(i)) a(i).asInstanceOf[Double] + b(i).asInstanceOf[Double]
-        else a(i).asInstanceOf[Long] + b(i).asInstanceOf[Long]
+      // Null-skipping add of the key-stripped tuple `b` into the accumulator
+      // `a`, which ReduceByKey owns.
+      def combine(a: Array[Any], b: Array[Any]): Array[Any] = {
+        var i = 0
+        while (i < nAggs) {
+          if (a(i) == null) a(i) = b(i)
+          else if (b(i) != null)
+            a(i) = if (isDouble(i)) a(i).asInstanceOf[Double] + b(i).asInstanceOf[Double]
+                   else a(i).asInstanceOf[Long] + b(i).asInstanceOf[Long]
+          i += 1
+        }
+        a
       }
 
       val copied = it.map(r => init(r.copy()))

@@ -2,7 +2,7 @@ package repro.monolith
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.mpi.NetConfig
+import repro.mpi.{NetConfig, Phase, RunReport}
 import repro.plans.{RadixJoinPlan, Workloads}
 import repro.plans.PlanPieces.DistConfig
 import repro.plans.RadixJoinPlan.JoinSpec
@@ -45,9 +45,10 @@ class MonolithJoinSpec extends AnyFunSuite {
     val s = Workloads.densePairs(64, 1)
     val results = MonolithicRadixJoin.run(
       Workloads.shard(r, 2), Workloads.shard(s, 2), 2, net, 3, 2)
-    val phases = results.flatMap(_.timer.phases).toSet
-    assert(Set("localHistogram", "globalHistogram", "networkPartition",
-      "localPartition", "buildProbe").subsetOf(phases))
+    val report = RunReport(results.map(_.timer), results.map(_.stats))
+    for (p <- Seq(Phase.localHistogram, Phase.globalHistogram, Phase.networkPartition,
+        Phase.localPartition, Phase.buildProbe))
+      assert(report.slowestNanos(p) > 0, s"no rank recorded $p")
   }
 
   test("monolithic and modular joins produce identical result multisets") {

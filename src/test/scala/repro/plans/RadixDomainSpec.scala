@@ -87,9 +87,11 @@ class RadixDomainSpec extends AnyFunSuite {
 
   test("GROUP BY with negative values") {
     val data = rows((0L until 64L).map(i => (i % 8) -> (-1L - i)))
-    def groupBy(compress: Boolean) =
-      GroupByPlan.driver(Workloads.shard(data, nRanks), Workloads.PairType, cfg(compress))._1
-        .drain().map(t => t(0).asInstanceOf[Long] -> t(1).asInstanceOf[Long]).toMap
+    def groupBy(compress: Boolean) = {
+      val out = GroupByPlan.driver(Workloads.shard(data, nRanks), Workloads.PairType, cfg(compress))._1.drain()
+      assert(out.map(_(0)).distinct.size == out.size, "a key occurs twice in the driver stream")
+      out.map(t => t(0).asInstanceOf[Long] -> t(1).asInstanceOf[Long]).toMap
+    }
     val got = groupBy(compress = false)
     assert(got.size == 8)
     assert(got == Workloads.referenceGroupSum(data.toSeq))

@@ -3,7 +3,7 @@ package repro.plans
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core._
-import repro.mpi.NetConfig
+import repro.mpi.{NetConfig, Phase}
 import repro.plans.PlanPieces.DistConfig
 import repro.plans.RadixJoinPlan.JoinSpec
 
@@ -103,9 +103,10 @@ class RadixJoinSpec extends AnyFunSuite {
       Workloads.pairTypeNamed("rv"), Workloads.pairTypeNamed("sv"),
       JoinSpec(cfg(2)))
     stream.drain()
-    val phases = exec.report.timers.flatMap(_.phases).toSet
-    assert(Set("localHistogram", "globalHistogram", "networkPartition",
-      "localPartition", "buildProbe").subsetOf(phases))
+    val report = exec.report
+    for (p <- Seq(Phase.localHistogram, Phase.globalHistogram, Phase.networkPartition,
+        Phase.localPartition, Phase.buildProbe))
+      assert(report.slowestNanos(p) > 0, s"no rank recorded $p")
   }
 
   test("semi join keeps exactly the matched probe tuples") {
